@@ -22,7 +22,7 @@
 //      dominate and the arena wins big).
 //   2. End-to-end MineMpp wall clock on a surrogate segment at 1, 2, and 8
 //      worker threads, interleaved rep by rep so the gated
-//      e2e_mpp_speedup_2t / e2e_mpp_speedup_8t ratios (t1/t2, t1/t8) draw
+//      e2e_mpp_2t_speedup / e2e_mpp_8t_speedup ratios (t1/t2, t1/t8) draw
 //      their minima from the same machine conditions. On a single-core box
 //      the ratios sit near 1.0; the gate then guards the pipelined
 //      executor's overhead (a ratio collapse means threading suddenly
@@ -47,7 +47,7 @@
 // workloads, so its numbers remain comparable to a full run's baseline.
 //
 // Gating policy (abi_stamp 5): only *ratio* rows (join_*_speedup,
-// join_speedup, serve_hit_speedup, e2e_mpp_speedup_*, kernel_*_speedup,
+// join_speedup, serve_hit_speedup, e2e_mpp_*_speedup, kernel_*_speedup,
 // corpus_8t_speedup) are tracked by bench_check. Both sides
 // of each ratio are measured in the same process seconds apart, so
 // machine-wide slowdowns (noisy neighbours, thermal throttling) cancel and
@@ -646,8 +646,8 @@ int Main(int argc, char** argv) {
   metrics["info.e2e_mpp_t8_ms"] = e2e.t8_ms;
   // Gated end-to-end thread-scaling ratios (see the gating-policy note):
   // both sides come from interleaved reps of the same sweep.
-  metrics["e2e_mpp_speedup_2t"] = e2e.t1_ms / e2e.t2_ms;
-  metrics["e2e_mpp_speedup_8t"] = e2e.t1_ms / e2e.t8_ms;
+  metrics["e2e_mpp_2t_speedup"] = e2e.t1_ms / e2e.t2_ms;
+  metrics["e2e_mpp_8t_speedup"] = e2e.t1_ms / e2e.t8_ms;
   const int serve_reps = smoke ? 3 : 5;
   const ServeBenchResult serve =
       RunServeBench(serve_reps, static_cast<std::uint64_t>(seed));

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <string_view>
 #include <thread>
 
 #include "analysis/compare.h"
@@ -62,18 +64,43 @@ StatusOr<Sequence> LoadPreset(const std::string& body) {
       "' (expected ax829174, bacteria, eukaryote, or worm)");
 }
 
+/// Strips an input spec's `@protein` suffix off *body and returns the
+/// alphabet the spec selects.
+const Alphabet& TakeAlphabetSuffix(std::string* body) {
+  constexpr std::string_view kProteinSuffix = "@protein";
+  if (body->size() > kProteinSuffix.size() && body->ends_with(kProteinSuffix)) {
+    body->resize(body->size() - kProteinSuffix.size());
+    return Alphabet::Protein();
+  }
+  return Alphabet::Dna();
+}
+
+/// Applies a job key that no ConfigField row owns; `key` is one of
+/// threads, deadline-ms, corpus or corpus-keep-tail.
+Status ApplyIntegerJobKey(const std::string& key, const std::string& value,
+                          MiningJob* job) {
+  PGM_ASSIGN_OR_RETURN(const std::int64_t parsed, ParseInt64(value));
+  if (key == "threads") {
+    job->config.threads = parsed;
+  } else if (key == "deadline-ms") {
+    job->config.limits.deadline_ms = parsed;
+  } else if (key == "corpus-keep-tail") {
+    job->corpus_keep_tail = parsed != 0;
+  } else if (parsed <= 0) {
+    return Status::InvalidArgument(
+        StrFormat("corpus fragment length must be positive, got %lld",
+                  static_cast<long long>(parsed)));
+  } else {
+    job->corpus_fragment_length = static_cast<std::size_t>(parsed);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<Sequence> LoadInput(const std::string& spec) {
   std::string body = spec;
-  const Alphabet* alphabet = &Alphabet::Dna();
-  const std::string protein_suffix = "@protein";
-  if (body.size() > protein_suffix.size() &&
-      body.compare(body.size() - protein_suffix.size(), protein_suffix.size(),
-                   protein_suffix) == 0) {
-    alphabet = &Alphabet::Protein();
-    body.resize(body.size() - protein_suffix.size());
-  }
+  const Alphabet& alphabet = TakeAlphabetSuffix(&body);
   const std::size_t colon = body.find(':');
   if (colon == std::string::npos) {
     return Status::InvalidArgument(
@@ -87,12 +114,12 @@ StatusOr<Sequence> LoadInput(const std::string& spec) {
   }
 
   if (kind == "raw") {
-    return Sequence::FromString(value, *alphabet);
+    return Sequence::FromString(value, alphabet);
   }
   if (kind == "text") {
     PGM_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(value));
     std::size_t dropped = 0;
-    Sequence sequence = Sequence::FromStringLossy(contents, *alphabet, &dropped);
+    Sequence sequence = Sequence::FromStringLossy(contents, alphabet, &dropped);
     if (sequence.empty()) {
       return Status::InvalidArgument("file contains no alphabet characters: " +
                                      value);
@@ -124,7 +151,7 @@ StatusOr<Sequence> LoadInput(const std::string& spec) {
         return Status::NotFound("record '" + record_id + "' not in " + path);
       }
     }
-    return RecordToSequence(*chosen, *alphabet);
+    return RecordToSequence(*chosen, alphabet);
   }
   if (kind == "preset") {
     return LoadPreset(value);
@@ -136,14 +163,7 @@ StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
                                      const CorpusPlanOptions& options,
                                      bool use_mmap) {
   std::string body = spec;
-  const Alphabet* alphabet = &Alphabet::Dna();
-  const std::string protein_suffix = "@protein";
-  if (body.size() > protein_suffix.size() &&
-      body.compare(body.size() - protein_suffix.size(), protein_suffix.size(),
-                   protein_suffix) == 0) {
-    alphabet = &Alphabet::Protein();
-    body.resize(body.size() - protein_suffix.size());
-  }
+  const Alphabet& alphabet = TakeAlphabetSuffix(&body);
   const std::size_t colon = body.find(':');
   const std::string kind =
       colon == std::string::npos ? std::string() : body.substr(0, colon);
@@ -160,13 +180,13 @@ StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
                                      "'");
     }
     if (record_id.empty()) {
-      return CorpusPlan::FromFastaFile(path, *alphabet, options, use_mmap);
+      return CorpusPlan::FromFastaFile(path, alphabet, options, use_mmap);
     }
     PGM_ASSIGN_OR_RETURN(std::vector<FastaRecord> records,
                          ReadFastaFile(path));
     for (const FastaRecord& record : records) {
       if (record.id == record_id) {
-        return CorpusPlan::FromRecords({record}, *alphabet, options);
+        return CorpusPlan::FromRecords({record}, alphabet, options);
       }
     }
     return Status::NotFound("record '" + record_id + "' not in " + path);
@@ -178,7 +198,124 @@ StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
   return CorpusPlan::FromSequence(sequence, spec, options);
 }
 
+Status ParseJobLine(const std::string& line, std::size_t line_number,
+                    MiningJob* job) {
+  std::vector<std::string> tokens;
+  for (const std::string& token : Split(line, ' ')) {
+    if (!token.empty()) tokens.push_back(token);
+  }
+  if (tokens.empty()) {
+    return Status::InvalidArgument(
+        StrFormat("jobs line %zu: missing input spec", line_number));
+  }
+  job->input = tokens.front();
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    const std::size_t eq = tokens[i].find('=');
+    if (eq == std::string::npos) {
+      return Status::InvalidArgument(
+          StrFormat("jobs line %zu: expected key=value, got '%s'", line_number,
+                    tokens[i].c_str()));
+    }
+    const std::string key = tokens[i].substr(0, eq);
+    const std::string value = tokens[i].substr(eq + 1);
+    Status status = Status::OK();
+    if (const ConfigField* field = FindConfigField(key)) {
+      status = field->parse(value, &job->config);
+    } else if (key == "algorithm") {
+      job->algorithm = value;
+    } else if (key == "threads" || key == "deadline-ms" || key == "corpus" ||
+               key == "corpus-keep-tail") {
+      status = ApplyIntegerJobKey(key, value, job);
+    } else {
+      return Status::InvalidArgument(
+          StrFormat("jobs line %zu: unknown key '%s'", line_number,
+                    key.c_str()));
+    }
+    if (!status.ok()) {
+      return Status::InvalidArgument(
+          StrFormat("jobs line %zu: key '%s': %s", line_number, key.c_str(),
+                    status.message().c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 namespace {
+
+/// The MinerConfig `pgm mine`, `pgm corpus` and `pgm em` start from: the
+/// paper's Section 6 setting, gap [9, 12] and rho_s = 0.003%. `pgm serve`
+/// jobs start from MinerConfig{} instead.
+constexpr MinerConfig kCliMinerDefaults{
+    .min_gap = 9, .max_gap = 12, .min_support_ratio = 0.003 / 100.0};
+
+/// Registers a flag for every MinerConfig field that has a key
+/// (core/miner.h), defaulting to the field's value in *config.
+/// `help_overrides` rewords a row's help for this command.
+void AddConfigFlags(
+    FlagSet* flags, MinerConfig* config,
+    const std::map<std::string_view, std::string_view>& help_overrides = {}) {
+  for (const ConfigField& field : MinerConfigFields()) {
+    if (field.key.empty()) continue;
+    const auto it = help_overrides.find(field.key);
+    const std::string_view help =
+        it == help_overrides.end() ? field.help : it->second;
+    flags->Add(std::string(field.key), std::string(help),
+               field.format(*config),
+               [&field, config](const std::string& text) {
+                 return field.parse(text, config);
+               });
+  }
+}
+
+/// Registers a resource-budget flag: a non-negative count, 0 = unlimited.
+void AddBudgetFlag(FlagSet* flags, const std::string& name,
+                   std::uint64_t* budget, const std::string& help) {
+  flags->Add(name, help, std::to_string(*budget),
+             [budget](const std::string& text) -> Status {
+               PGM_ASSIGN_OR_RETURN(const std::int64_t parsed,
+                                    ParseInt64(text));
+               if (parsed < 0) {
+                 return Status::InvalidArgument(
+                     "resource budgets must be non-negative (0 = unlimited)");
+               }
+               *budget = static_cast<std::uint64_t>(parsed);
+               return Status::OK();
+             });
+}
+
+/// The --metrics-out / --trace exports of one command run.
+struct RunExports {
+  std::string metrics_path;
+  std::string trace_path;
+  bool trace_timings = false;
+  MetricsRegistry metrics;
+  MiningTrace trace;
+  MiningObserver observer;
+
+  /// The observer of the sinks to export; null when there are none.
+  const MiningObserver* Observer() {
+    if (!metrics_path.empty()) observer.metrics = &metrics;
+    if (!trace_path.empty()) observer.trace = &trace;
+    return metrics_path.empty() && trace_path.empty() ? nullptr : &observer;
+  }
+
+  /// Writes the requested exports, noting each in *output.
+  Status Write(std::string* output) const {
+    if (!metrics_path.empty()) {
+      PGM_RETURN_IF_ERROR(
+          WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
+      output->append("wrote metrics JSON to " + metrics_path + "\n");
+    }
+    if (!trace_path.empty()) {
+      TraceJsonOptions trace_options;
+      trace_options.include_volatile = trace_timings;
+      PGM_RETURN_IF_ERROR(
+          WriteStringToFile(trace_path, trace.ToJson(trace_options) + "\n"));
+      output->append("wrote trace JSON to " + trace_path + "\n");
+    }
+    return Status::OK();
+  }
+};
 
 // ---------------------------------------------------------------------------
 // pgm mine
@@ -188,113 +325,60 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
                int* exit_override) {
   std::string input;
   std::string algorithm = "mppm";
-  std::int64_t min_gap = 9, max_gap = 12;
-  double rho_percent = 0.003;
-  std::int64_t start_length = 3, max_length = -1, user_n = -1, em_order = 10;
+  MinerConfig config = kCliMinerDefaults;
   std::int64_t top = 25;
-  bool maximal = false;
+  ReportOptions report_options;
   bool level_stats = false;
   bool lift = false;
   std::string csv_path;
-  std::string metrics_path;
-  std::string trace_path;
-  bool trace_timings = false;
-  std::int64_t deadline_ms = -1;
-  std::int64_t pil_budget_bytes = 0;
-  std::int64_t max_level_candidates = 0;
-  std::int64_t max_total_candidates = 0;
-  std::int64_t threads = 1;
-  std::string kernel = "auto";
+  RunExports exports;
 
   FlagSet flags("pgm mine: find frequent periodic patterns");
   flags.AddString("input", &input, "input spec (see pgm --help)");
   flags.AddString("algorithm", &algorithm, "mpp | mppm | enum | adaptive");
-  flags.AddInt64("min-gap", &min_gap, "minimum gap N");
-  flags.AddInt64("max-gap", &max_gap, "maximum gap M");
-  flags.AddDouble("rho-percent", &rho_percent, "support threshold in percent");
-  flags.AddInt64("start-length", &start_length, "first mined pattern length");
-  flags.AddInt64("max-length", &max_length, "pattern length cap (-1 = none)");
-  flags.AddInt64("n", &user_n, "MPP estimate of longest pattern (-1 = worst)");
-  flags.AddInt64("m", &em_order, "MPPm e_m order");
+  AddConfigFlags(&flags, &config);
   flags.AddInt64("top", &top, "patterns shown (longest / highest ratio first)");
-  flags.AddBool("maximal", &maximal, "condense to maximal patterns");
+  flags.AddBool("maximal", &report_options.maximal_only,
+                "condense to maximal patterns");
   flags.AddBool("lift", &lift,
                 "also rank patterns by compositional lift (observed/expected)");
   flags.AddBool("level-stats", &level_stats, "include per-level candidates");
   flags.AddString("csv", &csv_path, "also write all patterns as CSV here");
-  flags.AddString("metrics-out", &metrics_path,
+  flags.AddString("metrics-out", &exports.metrics_path,
                   "write run metrics (counters/gauges/histograms) as "
                   "deterministic JSON here");
-  flags.AddString("trace", &trace_path,
+  flags.AddString("trace", &exports.trace_path,
                   "write the structured mining trace (level starts/ends, "
                   "prune decisions, guard trips) as JSON here");
-  flags.AddBool("trace-timings", &trace_timings,
+  flags.AddBool("trace-timings", &exports.trace_timings,
                 "include wall-clock/worker fields and shard timings in "
                 "--trace output (not byte-stable across runs)");
-  flags.AddInt64("deadline-ms", &deadline_ms,
+  flags.AddInt64("deadline-ms", &config.limits.deadline_ms,
                  "wall-clock budget in ms; partial result on expiry "
                  "(-1 = none)");
-  flags.AddInt64("pil-budget-bytes", &pil_budget_bytes,
-                 "PIL memory budget in bytes (0 = unlimited)");
-  flags.AddInt64("max-level-candidates", &max_level_candidates,
-                 "cap on candidates per level (0 = unlimited)");
-  flags.AddInt64("max-total-candidates", &max_total_candidates,
-                 "cap on total candidates (0 = unlimited)");
-  flags.AddInt64("threads", &threads,
+  AddBudgetFlag(&flags, "pil-budget-bytes",
+                &config.limits.pil_memory_budget_bytes,
+                "PIL memory budget in bytes (0 = unlimited)");
+  AddBudgetFlag(&flags, "max-level-candidates",
+                &config.limits.max_level_candidates,
+                "cap on candidates per level (0 = unlimited)");
+  AddBudgetFlag(&flags, "max-total-candidates",
+                &config.limits.max_total_candidates,
+                "cap on total candidates (0 = unlimited)");
+  flags.AddInt64("threads", &config.threads,
                  "worker threads for level evaluation (1 = serial, 0 = one "
                  "per hardware thread); results are identical at every "
                  "thread count");
-  flags.AddString("kernel", &kernel,
-                  "join-kernel tier: auto | scalar | bits | avx2 (auto picks "
-                  "the bitset/AVX2 kernel when the gap window fits 64 bits; "
-                  "results are identical under every tier)");
-  std::vector<char*> argv;
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm mine");
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm mine", args));
   if (input.empty()) {
     return Status::InvalidArgument("--input is required\n" + flags.Usage());
   }
 
   PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(input));
-  MinerConfig config;
-  config.min_gap = min_gap;
-  config.max_gap = max_gap;
-  config.min_support_ratio = rho_percent / 100.0;
-  config.start_length = start_length;
-  config.max_length = max_length;
-  config.user_n = user_n;
-  config.em_order = em_order;
-  if (pil_budget_bytes < 0 || max_level_candidates < 0 ||
-      max_total_candidates < 0) {
-    return Status::InvalidArgument(
-        "resource budgets must be non-negative (0 = unlimited)");
-  }
-  config.limits.deadline_ms = deadline_ms;
-  config.limits.pil_memory_budget_bytes =
-      static_cast<std::uint64_t>(pil_budget_bytes);
-  config.limits.max_level_candidates =
-      static_cast<std::uint64_t>(max_level_candidates);
-  config.limits.max_total_candidates =
-      static_cast<std::uint64_t>(max_total_candidates);
-  config.threads = threads;
-  if (!KernelTierFromString(kernel, &config.kernel_tier)) {
-    return Status::InvalidArgument(
-        "unknown --kernel '" + kernel + "' (auto | scalar | bits | avx2)");
-  }
   // SIGINT/SIGTERM latch the process-wide token (tools/pgm_main.cc); the
   // miners poll it and wind down to a partial-but-sound result.
   config.cancel = &GlobalCancelToken();
-
-  MetricsRegistry metrics;
-  MiningTrace trace;
-  MiningObserver observer;
-  if (!metrics_path.empty()) observer.metrics = &metrics;
-  if (!trace_path.empty()) observer.trace = &trace;
-  if (observer.metrics != nullptr || observer.trace != nullptr) {
-    config.observer = &observer;
-  }
+  config.observer = exports.Observer();
 
   StatusOr<MiningResult> mined = [&]() -> StatusOr<MiningResult> {
     if (algorithm == "mpp") return MineMpp(sequence, config);
@@ -306,15 +390,13 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
   PGM_RETURN_IF_ERROR(mined.status());
   const MiningResult& result = *mined;
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(min_gap, max_gap));
+                       GapRequirement::Create(config.min_gap, config.max_gap));
 
   output->append(StrFormat(
       "subject: L=%zu over {%s}; rho_s=%g%%; algorithm=%s\n",
-      sequence.size(), sequence.alphabet().symbols().c_str(), rho_percent,
-      algorithm.c_str()));
-  ReportOptions report_options;
+      sequence.size(), sequence.alphabet().symbols().c_str(),
+      config.min_support_ratio * 100.0, algorithm.c_str()));
   report_options.top = static_cast<std::size_t>(std::max<std::int64_t>(0, top));
-  report_options.maximal_only = maximal;
   report_options.include_level_stats = level_stats;
   output->append(FormatMiningReport(result, gap, report_options));
 
@@ -344,17 +426,7 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
   }
   // The observability exports come after the report so a failed write
   // (IoError, loud in *error) never swallows the mining result itself.
-  if (!metrics_path.empty()) {
-    PGM_RETURN_IF_ERROR(WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
-    output->append("wrote metrics JSON to " + metrics_path + "\n");
-  }
-  if (!trace_path.empty()) {
-    TraceJsonOptions trace_options;
-    trace_options.include_volatile = trace_timings;
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(trace_path, trace.ToJson(trace_options) + "\n"));
-    output->append("wrote trace JSON to " + trace_path + "\n");
-  }
+  PGM_RETURN_IF_ERROR(exports.Write(output));
   if (result.termination == TerminationReason::kCancelled &&
       GlobalCancelToken().cancelled()) {
     // Interrupted, not failed: everything reported above is genuinely
@@ -375,25 +447,15 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
 Status RunCorpus(const std::vector<std::string>& args, std::string* output,
                  int* exit_override) {
   std::string input;
-  std::string algorithm = "mppm";
   std::int64_t fragment_length = 100'000;
-  bool keep_tail = false;
   std::int64_t max_fragments = 0;
-  std::int64_t min_gap = 9, max_gap = 12;
-  double rho_percent = 0.003;
-  std::int64_t start_length = 3, max_length = -1, user_n = -1, em_order = 10;
+  CorpusPlanOptions plan_options;
+  CorpusOptions options;
+  options.miner = kCliMinerDefaults;
   std::int64_t top = 25;
-  std::int64_t threads = 1;
-  std::string kernel = "auto";
-  std::int64_t deadline_ms = -1;
-  std::int64_t pil_budget_bytes = 0;
-  std::int64_t max_level_candidates = 0;
-  std::int64_t max_total_candidates = 0;
   bool no_mmap = false;
   std::string csv_path;
-  std::string metrics_path;
-  std::string trace_path;
-  bool trace_timings = false;
+  RunExports exports;
 
   FlagSet flags(
       "pgm corpus: mine every record of a corpus fragment-by-fragment "
@@ -401,60 +463,54 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
       "fragments, never across fragment boundaries)");
   flags.AddString("input", &input,
                   "input spec; fasta:<path> mines every record");
-  flags.AddString("algorithm", &algorithm, "mpp | mppm | enum | adaptive");
+  flags.AddString("algorithm", &options.algorithm,
+                  "mpp | mppm | enum | adaptive");
   flags.AddInt64("fragment-length", &fragment_length,
                  "window length each record is cut into (Section 7 uses "
                  "100000)");
-  flags.AddBool("keep-tail", &keep_tail,
+  flags.AddBool("keep-tail", &plan_options.fragment.keep_tail,
                 "also mine the final sub-window remainder of each record "
                 "(off = drop it, the paper's convention)");
   flags.AddInt64("max-fragments", &max_fragments,
                  "cap on total fragments planned (0 = all)");
-  flags.AddInt64("min-gap", &min_gap, "minimum gap N");
-  flags.AddInt64("max-gap", &max_gap, "maximum gap M");
-  flags.AddDouble("rho-percent", &rho_percent, "support threshold in percent");
-  flags.AddInt64("start-length", &start_length, "first mined pattern length");
-  flags.AddInt64("max-length", &max_length, "pattern length cap (-1 = none)");
-  flags.AddInt64("n", &user_n, "MPP estimate of longest pattern (-1 = worst)");
-  flags.AddInt64("m", &em_order, "MPPm e_m order");
+  AddConfigFlags(&flags, &options.miner,
+                 {{"kernel",
+                   "join-kernel tier per fragment: auto | scalar | bits | "
+                   "avx2 (results are identical under every tier)"}});
   flags.AddInt64("top", &top, "patterns shown (longest / highest ratio first)");
-  flags.AddInt64("threads", &threads,
+  flags.AddInt64("threads", &options.corpus_threads,
                  "worker threads mining whole fragments (1 = serial, 0 = one "
                  "per hardware thread); results are identical at every "
                  "thread count");
-  flags.AddString("kernel", &kernel,
-                  "join-kernel tier per fragment: auto | scalar | bits | "
-                  "avx2 (results are identical under every tier)");
-  flags.AddInt64("deadline-ms", &deadline_ms,
+  flags.AddInt64("deadline-ms", &options.limits.deadline_ms,
                  "corpus-wide wall-clock budget in ms; later fragments are "
                  "skipped on expiry, partial result stays sound (-1 = none)");
-  flags.AddInt64("pil-budget-bytes", &pil_budget_bytes,
-                 "per-fragment PIL memory budget in bytes (0 = unlimited)");
-  flags.AddInt64("max-level-candidates", &max_level_candidates,
-                 "cap on any single fragment's candidate total (0 = "
-                 "unlimited)");
-  flags.AddInt64("max-total-candidates", &max_total_candidates,
-                 "cap on candidates accumulated across the corpus (0 = "
-                 "unlimited)");
+  AddBudgetFlag(&flags, "pil-budget-bytes",
+                &options.miner.limits.pil_memory_budget_bytes,
+                "per-fragment PIL memory budget in bytes (0 = unlimited)");
+  AddBudgetFlag(&flags, "max-level-candidates",
+                &options.limits.max_level_candidates,
+                "cap on any single fragment's candidate total (0 = "
+                "unlimited)");
+  AddBudgetFlag(&flags, "max-total-candidates",
+                &options.limits.max_total_candidates,
+                "cap on candidates accumulated across the corpus (0 = "
+                "unlimited)");
   flags.AddBool("no-mmap", &no_mmap,
                 "ingest FASTA through the buffered reader instead of the "
                 "memory-mapped scanner (same bytes, same result)");
   flags.AddString("csv", &csv_path,
                   "also write the aggregated patterns as CSV here");
-  flags.AddString("metrics-out", &metrics_path,
+  flags.AddString("metrics-out", &exports.metrics_path,
                   "write run metrics (corpus.* + per-fragment mining "
                   "counters) as deterministic JSON here");
-  flags.AddString("trace", &trace_path,
+  flags.AddString("trace", &exports.trace_path,
                   "write the corpus trace (fragment_start/fragment_end "
                   "bracketing each fragment's mining events) as JSON here");
-  flags.AddBool("trace-timings", &trace_timings,
+  flags.AddBool("trace-timings", &exports.trace_timings,
                 "include wall-clock/worker fields in --trace output (not "
                 "byte-stable across runs)");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm corpus");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm corpus", args));
   if (input.empty()) {
     return Status::InvalidArgument("--input is required\n" + flags.Usage());
   }
@@ -464,16 +520,9 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
   if (max_fragments < 0) {
     return Status::InvalidArgument("--max-fragments must be non-negative");
   }
-  if (pil_budget_bytes < 0 || max_level_candidates < 0 ||
-      max_total_candidates < 0) {
-    return Status::InvalidArgument(
-        "resource budgets must be non-negative (0 = unlimited)");
-  }
 
-  CorpusPlanOptions plan_options;
   plan_options.fragment.fragment_length =
       static_cast<std::size_t>(fragment_length);
-  plan_options.fragment.keep_tail = keep_tail;
   plan_options.max_fragments = static_cast<std::size_t>(max_fragments);
   PGM_ASSIGN_OR_RETURN(CorpusPlan plan,
                        LoadCorpusInput(input, plan_options, !no_mmap));
@@ -483,37 +532,8 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
     return Status::InvalidArgument(plan.EmptyPlanDiagnostic(plan_options));
   }
 
-  CorpusOptions options;
-  options.algorithm = algorithm;
-  options.miner.min_gap = min_gap;
-  options.miner.max_gap = max_gap;
-  options.miner.min_support_ratio = rho_percent / 100.0;
-  options.miner.start_length = start_length;
-  options.miner.max_length = max_length;
-  options.miner.user_n = user_n;
-  options.miner.em_order = em_order;
-  if (!KernelTierFromString(kernel, &options.miner.kernel_tier)) {
-    return Status::InvalidArgument(
-        "unknown --kernel '" + kernel + "' (auto | scalar | bits | avx2)");
-  }
-  options.miner.limits.pil_memory_budget_bytes =
-      static_cast<std::uint64_t>(pil_budget_bytes);
-  options.limits.deadline_ms = deadline_ms;
-  options.limits.max_level_candidates =
-      static_cast<std::uint64_t>(max_level_candidates);
-  options.limits.max_total_candidates =
-      static_cast<std::uint64_t>(max_total_candidates);
-  options.corpus_threads = threads;
   options.cancel = &GlobalCancelToken();
-
-  MetricsRegistry metrics;
-  MiningTrace trace;
-  MiningObserver observer;
-  if (!metrics_path.empty()) observer.metrics = &metrics;
-  if (!trace_path.empty()) observer.trace = &trace;
-  if (observer.metrics != nullptr || observer.trace != nullptr) {
-    options.observer = &observer;
-  }
+  options.observer = exports.Observer();
 
   PGM_ASSIGN_OR_RETURN(CorpusResult corpus, MineCorpus(plan, options));
 
@@ -521,7 +541,8 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
       "corpus: %s; fragment_length=%lld keep_tail=%s; rho_s=%g%%; "
       "algorithm=%s\n",
       plan.Describe().c_str(), static_cast<long long>(fragment_length),
-      keep_tail ? "true" : "false", rho_percent, algorithm.c_str()));
+      plan_options.fragment.keep_tail ? "true" : "false",
+      options.miner.min_support_ratio * 100.0, options.algorithm.c_str()));
   for (const SkippedRecord& skipped : plan.skipped_records()) {
     output->append(StrFormat(
         "warning: record '%s' contributed no fragments (%zu symbol(s))\n",
@@ -585,18 +606,7 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
     output->append("wrote " + std::to_string(flat.patterns.size()) +
                    " patterns to " + csv_path + "\n");
   }
-  if (!metrics_path.empty()) {
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
-    output->append("wrote metrics JSON to " + metrics_path + "\n");
-  }
-  if (!trace_path.empty()) {
-    TraceJsonOptions trace_options;
-    trace_options.include_volatile = trace_timings;
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(trace_path, trace.ToJson(trace_options) + "\n"));
-    output->append("wrote trace JSON to " + trace_path + "\n");
-  }
+  PGM_RETURN_IF_ERROR(exports.Write(output));
   if (corpus.termination == TerminationReason::kCancelled &&
       GlobalCancelToken().cancelled()) {
     output->append(
@@ -613,23 +623,20 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
 
 Status RunEm(const std::vector<std::string>& args, std::string* output) {
   std::string input;
-  std::int64_t min_gap = 9, max_gap = 12, m = 10;
+  MinerConfig config = kCliMinerDefaults;
   FlagSet flags("pgm em: compute the e_m statistic (Theorem 2)");
   flags.AddString("input", &input, "input spec");
-  flags.AddInt64("min-gap", &min_gap, "minimum gap N");
-  flags.AddInt64("max-gap", &max_gap, "maximum gap M");
-  flags.AddInt64("m", &m, "order of the statistic");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm em");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  flags.AddInt64("min-gap", &config.min_gap, "minimum gap N");
+  flags.AddInt64("max-gap", &config.max_gap, "maximum gap M");
+  flags.AddInt64("m", &config.em_order, "order of the statistic");
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm em", args));
   if (input.empty()) {
     return Status::InvalidArgument("--input is required\n" + flags.Usage());
   }
   PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(input));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(min_gap, max_gap));
+                       GapRequirement::Create(config.min_gap, config.max_gap));
+  const std::int64_t m = config.em_order;
   PGM_ASSIGN_OR_RETURN(EmResult em, ComputeEm(sequence, gap, m));
   long double wm = 1.0L;
   for (std::int64_t i = 0; i < m; ++i) {
@@ -669,11 +676,7 @@ Status RunScan(const std::vector<std::string>& args, std::string* output) {
   flags.AddString("input", &input, "input spec");
   flags.AddString("pairs", &pairs, "comma-separated base pairs, e.g. AA,AT");
   flags.AddInt64("max-distance", &max_distance, "largest distance p");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm scan");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm scan", args));
   if (input.empty()) {
     return Status::InvalidArgument("--input is required\n" + flags.Usage());
   }
@@ -721,11 +724,7 @@ Status RunTandem(const std::vector<std::string>& args, std::string* output) {
   flags.AddInt64("min-copies", &min_copies, "minimum complete copies");
   flags.AddInt64("min-length", &min_length, "minimum region length shown");
   flags.AddInt64("top", &top, "repeats shown (longest first)");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm tandem");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm tandem", args));
   if (input.empty()) {
     return Status::InvalidArgument("--input is required\n" + flags.Usage());
   }
@@ -776,11 +775,7 @@ Status RunCompare(const std::vector<std::string>& args, std::string* output) {
       "pgm mine --csv)");
   flags.AddBool("protein", &use_protein, "patterns use the protein alphabet");
   flags.AddInt64("examples", &examples, "unique-pattern examples shown");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm compare");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm compare", args));
   const std::vector<std::string>& paths = flags.positional_args();
   if (paths.size() < 2) {
     return Status::InvalidArgument(
@@ -842,11 +837,7 @@ Status RunGenerate(const std::vector<std::string>& args, std::string* output) {
   flags.AddInt64("length", &length, "genome length (ignored for ax829174)");
   flags.AddInt64("seed", &seed, "generation seed");
   flags.AddString("output", &out_path, "output FASTA path (required)");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm generate");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm generate", args));
   if (out_path.empty()) {
     return Status::InvalidArgument("--output is required\n" + flags.Usage());
   }
@@ -871,82 +862,8 @@ Status RunGenerate(const std::vector<std::string>& args, std::string* output) {
 // pgm serve
 // ---------------------------------------------------------------------------
 
-/// Parses one job-file line: `<input-spec> [key=value ...]`. Keys mirror the
-/// pgm mine flags (algorithm, min-gap, max-gap, rho-percent, start-length,
-/// max-length, n, m, threads, kernel, deadline-ms). `corpus=<len>` switches
-/// the job to corpus mode: the input is expanded into fragments of that
-/// length and mined by the corpus executor (corpus-keep-tail=1 keeps each
-/// record's sub-window remainder).
-Status ParseJobLine(const std::string& line, std::size_t line_number,
-                    MiningJob* job) {
-  std::vector<std::string> tokens;
-  for (const std::string& token : Split(line, ' ')) {
-    if (!token.empty()) tokens.push_back(token);
-  }
-  job->input = tokens.front();
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument(
-          StrFormat("jobs line %zu: expected key=value, got '%s'", line_number,
-                    tokens[i].c_str()));
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    if (key == "algorithm") {
-      job->algorithm = value;
-      continue;
-    }
-    if (key == "rho-percent") {
-      PGM_ASSIGN_OR_RETURN(double parsed, ParseDouble(value));
-      job->config.min_support_ratio = parsed / 100.0;
-      continue;
-    }
-    if (key == "kernel") {
-      if (!KernelTierFromString(value, &job->config.kernel_tier)) {
-        return Status::InvalidArgument(
-            StrFormat("jobs line %zu: unknown kernel '%s'", line_number,
-                      value.c_str()));
-      }
-      continue;
-    }
-    PGM_ASSIGN_OR_RETURN(std::int64_t parsed, ParseInt64(value));
-    if (key == "min-gap") {
-      job->config.min_gap = parsed;
-    } else if (key == "max-gap") {
-      job->config.max_gap = parsed;
-    } else if (key == "start-length") {
-      job->config.start_length = parsed;
-    } else if (key == "max-length") {
-      job->config.max_length = parsed;
-    } else if (key == "n") {
-      job->config.user_n = parsed;
-    } else if (key == "m") {
-      job->config.em_order = parsed;
-    } else if (key == "threads") {
-      job->config.threads = parsed;
-    } else if (key == "deadline-ms") {
-      job->config.limits.deadline_ms = parsed;
-    } else if (key == "corpus") {
-      if (parsed <= 0) {
-        return Status::InvalidArgument(
-            StrFormat("jobs line %zu: corpus fragment length must be "
-                      "positive, got %lld",
-                      line_number, static_cast<long long>(parsed)));
-      }
-      job->corpus_fragment_length = static_cast<std::size_t>(parsed);
-    } else if (key == "corpus-keep-tail") {
-      job->corpus_keep_tail = parsed != 0;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("jobs line %zu: unknown key '%s'", line_number,
-                    key.c_str()));
-    }
-  }
-  return Status::OK();
-}
-
-/// One line per job response: machine-greppable outcome columns.
+/// One line per job response: machine-greppable outcome columns. A failed
+/// job's last column, `message=`, runs to the end of the line.
 void AppendResponseLine(const JobResponse& response, std::string* output) {
   output->append(StrFormat("job %lld %s %s: ",
                            static_cast<long long>(response.id),
@@ -971,6 +888,9 @@ void AppendResponseLine(const JobResponse& response, std::string* output) {
   if (response.load_attempts > 1) {
     output->append(StrFormat(" load_attempts=%d", response.load_attempts));
   }
+  if (!response.status.ok()) {
+    output->append(" message=" + response.status.message());
+  }
   output->append("\n");
 }
 
@@ -979,13 +899,11 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
   std::string jobs_path;
   std::int64_t queue_capacity = 64;
   std::int64_t workers = 1;
-  std::int64_t max_deadline_ms = -1;
   std::int64_t cache_bytes = 0;
   std::int64_t retry_attempts = 2;
   std::int64_t retry_base_ms = 1;
-  std::int64_t retry_after_ms = 50;
-  std::string metrics_path;
-  std::string trace_path;
+  ServiceConfig service_config;
+  RunExports exports;
 
   FlagSet flags("pgm serve: run a batch of mining jobs as a bounded service");
   flags.AddString("jobs", &jobs_path,
@@ -996,7 +914,7 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
                  "as Unavailable responses)");
   flags.AddInt64("workers", &workers,
                  "service worker threads (0 = one per hardware thread)");
-  flags.AddInt64("max-deadline-ms", &max_deadline_ms,
+  flags.AddInt64("max-deadline-ms", &service_config.max_deadline_ms,
                  "server ceiling on any job's deadline (-1 = none)");
   flags.AddInt64("cache-bytes", &cache_bytes,
                  "result-cache budget in bytes (0 = cache off)");
@@ -1004,22 +922,19 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
                  "input-load attempts per job (transient I/O faults only)");
   flags.AddInt64("retry-base-ms", &retry_base_ms,
                  "first retry backoff; doubles per attempt");
-  flags.AddInt64("retry-after-ms", &retry_after_ms,
+  flags.AddInt64("retry-after-ms", &service_config.retry_after_ms,
                  "backoff hint attached to shed responses");
-  flags.AddString("metrics-out", &metrics_path,
+  flags.AddString("metrics-out", &exports.metrics_path,
                   "write service+mining metrics as deterministic JSON here");
-  flags.AddString("trace", &trace_path,
+  flags.AddString("trace", &exports.trace_path,
                   "write the job/mining trace as JSON here");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm serve");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(flags.Parse("pgm serve", args));
   if (jobs_path.empty()) {
     return Status::InvalidArgument("--jobs is required\n" + flags.Usage());
   }
   if (queue_capacity <= 0 || workers < 0 || cache_bytes < 0 ||
-      retry_attempts < 1 || retry_base_ms < 0 || retry_after_ms < 0) {
+      retry_attempts < 1 || retry_base_ms < 0 ||
+      service_config.retry_after_ms < 0) {
     return Status::InvalidArgument(
         "serve knobs must be positive (queue-capacity, retry-attempts) or "
         "non-negative (workers, cache-bytes, retry-base-ms, retry-after-ms)");
@@ -1041,24 +956,13 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
     return Status::InvalidArgument("no jobs in " + jobs_path);
   }
 
-  MetricsRegistry metrics;
-  MiningTrace trace;
-  MiningObserver observer;
-  observer.metrics = &metrics;
-  if (!trace_path.empty()) observer.trace = &trace;
-
-  ServiceConfig service_config;
   service_config.queue_capacity = static_cast<std::size_t>(queue_capacity);
   service_config.workers = static_cast<std::size_t>(workers);
-  service_config.max_deadline_ms = max_deadline_ms;
   service_config.cache_capacity_bytes = static_cast<std::uint64_t>(cache_bytes);
   service_config.io_retry.max_attempts = static_cast<int>(retry_attempts);
   service_config.io_retry.base_delay_ms = retry_base_ms;
-  service_config.retry_after_ms = retry_after_ms;
-  service_config.observer = &observer;
-  service_config.loader = [](const std::string& spec) {
-    return LoadInput(spec);
-  };
+  service_config.observer = exports.Observer();
+  service_config.loader = LoadInput;
   service_config.corpus_loader = [](const std::string& spec,
                                     const CorpusPlanOptions& options) {
     return LoadCorpusInput(spec, options);
@@ -1110,16 +1014,7 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
       "%zu cache hits\n",
       responses.size(), completed, partial, shed, failed, hits));
 
-  if (!metrics_path.empty()) {
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
-    output->append("wrote metrics JSON to " + metrics_path + "\n");
-  }
-  if (!trace_path.empty()) {
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(trace_path, trace.ToJson() + "\n"));
-    output->append("wrote trace JSON to " + trace_path + "\n");
-  }
+  PGM_RETURN_IF_ERROR(exports.Write(output));
   if (GlobalCancelToken().cancelled()) {
     output->append("interrupted: drained gracefully; partial results above "
                    "are sound\n");

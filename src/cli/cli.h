@@ -7,6 +7,7 @@
 #include "core/guard.h"
 #include "corpus/plan.h"
 #include "seq/sequence.h"
+#include "serve/job.h"
 #include "util/status.h"
 
 namespace pgm::cli {
@@ -45,6 +46,15 @@ StatusOr<Sequence> LoadInput(const std::string& spec);
 StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
                                      const CorpusPlanOptions& options,
                                      bool use_mmap = true);
+
+/// Parses one `pgm serve` job-file line: `<input-spec> [key=value ...]`.
+/// Keys: every ConfigField key (core/miner.h), plus algorithm, threads,
+/// deadline-ms, corpus=<fragment length> (mine the input as a corpus) and
+/// corpus-keep-tail=0|1. Fields no key names keep the values *job holds.
+/// Errors are InvalidArgument naming `line_number` and, for a bad value,
+/// the key.
+Status ParseJobLine(const std::string& line, std::size_t line_number,
+                    MiningJob* job);
 
 /// Maps a failure Status to the tool's process exit code, so scripts can
 /// branch on the failure class: InvalidArgument/usage errors=2, IoError=3,

@@ -21,21 +21,6 @@ const char* KernelTierToString(KernelTier tier) {
   return "auto";
 }
 
-bool KernelTierFromString(const std::string& name, KernelTier* tier) {
-  if (name == "auto") {
-    *tier = KernelTier::kAuto;
-  } else if (name == "scalar") {
-    *tier = KernelTier::kScalar;
-  } else if (name == "bits") {
-    *tier = KernelTier::kBits;
-  } else if (name == "avx2") {
-    *tier = KernelTier::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* KernelImplToString(KernelImpl impl) {
   switch (impl) {
     case KernelImpl::kScalar:

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/gap.h"
@@ -33,10 +32,9 @@ enum class KernelTier {
 /// picked from the tier, the gap's window width, and the CPU.
 enum class KernelImpl { kScalar, kBits, kAvx2 };
 
-/// "auto" | "scalar" | "bits" | "avx2".
+/// "auto" | "scalar" | "bits" | "avx2" (parsed back by the "kernel"
+/// ConfigField row, core/miner.h).
 const char* KernelTierToString(KernelTier tier);
-/// Inverse of KernelTierToString; returns false on an unknown name.
-bool KernelTierFromString(const std::string& name, KernelTier* tier);
 /// "scalar" | "bits" | "avx2" (the shard_timing trace field).
 const char* KernelImplToString(KernelImpl impl);
 

@@ -9,6 +9,100 @@
 #include "util/string_util.h"
 
 namespace pgm {
+
+namespace {
+
+template <std::int64_t MinerConfig::*kMember>
+constexpr ConfigField Int64Field(std::string_view key,
+                                 std::string_view canonical,
+                                 std::string_view help) {
+  auto format = [](const MinerConfig& config) {
+    return std::to_string(config.*kMember);
+  };
+  return {key, canonical, help, FieldRole::kSemantic,
+          [](std::string_view text, MinerConfig* config) -> Status {
+            PGM_ASSIGN_OR_RETURN(config->*kMember, ParseInt64(text));
+            return Status::OK();
+          },
+          format, format};
+}
+
+constexpr ConfigField kConfigFields[] = {
+    Int64Field<&MinerConfig::min_gap>("min-gap", "min_gap", "minimum gap N"),
+    Int64Field<&MinerConfig::max_gap>("max-gap", "max_gap", "maximum gap M"),
+    // ρs is entered in percent, as the paper quotes it, and stored as a
+    // fraction. The cache key renders it in %a, which round-trips the exact
+    // bit pattern; "%g"-style renderings can collapse distinct configs.
+    {"rho-percent", "min_support_ratio", "support threshold in percent",
+     FieldRole::kSemantic,
+     [](std::string_view text, MinerConfig* config) -> Status {
+       PGM_ASSIGN_OR_RETURN(const double percent, ParseDouble(text));
+       config->min_support_ratio = percent / 100.0;
+       return Status::OK();
+     },
+     [](const MinerConfig& config) {
+       return StrFormat("%g", config.min_support_ratio * 100.0);
+     },
+     [](const MinerConfig& config) {
+       return StrFormat("%a", config.min_support_ratio);
+     }},
+    Int64Field<&MinerConfig::start_length>("start-length", "start_length",
+                                           "first mined pattern length"),
+    Int64Field<&MinerConfig::max_length>("max-length", "max_length",
+                                         "pattern length cap (-1 = none)"),
+    Int64Field<&MinerConfig::user_n>(
+        "n", "user_n", "MPP estimate of longest pattern (-1 = worst)"),
+    Int64Field<&MinerConfig::em_order>("m", "em_order", "MPPm e_m order"),
+    {"", "use_em_bound", "", FieldRole::kSemantic, nullptr, nullptr,
+     [](const MinerConfig& config) -> std::string {
+       return config.use_em_bound ? "1" : "0";
+     }},
+    Int64Field<&MinerConfig::initial_n>("", "initial_n", ""),
+    Int64Field<&MinerConfig::max_iterations>("", "max_iterations", ""),
+    {"kernel", "kernel_tier",
+     "join-kernel tier: auto | scalar | bits | avx2 (auto picks the "
+     "bitset/AVX2 kernel when the gap window fits 64 bits; results are "
+     "identical under every tier)",
+     FieldRole::kExecution,
+     [](std::string_view text, MinerConfig* config) -> Status {
+       for (KernelTier tier : {KernelTier::kAuto, KernelTier::kScalar,
+                               KernelTier::kBits, KernelTier::kAvx2}) {
+         if (text == KernelTierToString(tier)) {
+           config->kernel_tier = tier;
+           return Status::OK();
+         }
+       }
+       return Status::InvalidArgument("unknown kernel '" + std::string(text) +
+                                      "' (auto | scalar | bits | avx2)");
+     },
+     [](const MinerConfig& config) -> std::string {
+       return KernelTierToString(config.kernel_tier);
+     },
+     nullptr},
+};
+
+}  // namespace
+
+std::span<const ConfigField> MinerConfigFields() { return kConfigFields; }
+
+const ConfigField* FindConfigField(std::string_view key) {
+  if (key.empty()) return nullptr;
+  for (const ConfigField& field : kConfigFields) {
+    if (field.key == key) return &field;
+  }
+  return nullptr;
+}
+
+StatusOr<MiningResult> MineWithAlgorithm(const std::string& algorithm,
+                                         const Sequence& sequence,
+                                         const MinerConfig& config) {
+  if (algorithm == "mpp") return MineMpp(sequence, config);
+  if (algorithm == "mppm") return MineMppm(sequence, config);
+  if (algorithm == "enum") return MineEnumeration(sequence, config);
+  if (algorithm == "adaptive") return MineAdaptive(sequence, config);
+  return Status::InvalidArgument("unknown algorithm: " + algorithm);
+}
+
 namespace internal {
 
 Status ValidateConfig(const Sequence& sequence, const MinerConfig& config) {

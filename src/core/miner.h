@@ -2,7 +2,9 @@
 #define PGM_CORE_MINER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/gap.h"
@@ -80,7 +82,7 @@ struct MinerConfig {
   /// the miners return ok() with a partial-but-sound result; see
   /// MiningResult::termination. For Adaptive, the deadline covers the whole
   /// refinement loop, not each inner MPP run.
-  ResourceLimits limits;
+  ResourceLimits limits{};
   /// Optional cooperative cancellation; must outlive the mining call.
   /// Polled at level boundaries and every MiningGuard::kTickPeriod PIL
   /// extensions.
@@ -95,6 +97,37 @@ struct MinerConfig {
   /// iteration.
   const MiningObserver* observer = nullptr;
 };
+
+/// Whether a MinerConfig field can change the patterns a completed run
+/// emits (kSemantic: rendered into the result-cache key) or only how fast
+/// they arrive (kExecution: kept out of the key).
+enum class FieldRole { kSemantic, kExecution };
+
+/// The one declaration of a MinerConfig field. The `pgm mine`/`pgm corpus`
+/// flags, the `pgm serve` job keys and the result-cache key
+/// (serve/canonical.h) are all generated from these rows.
+struct ConfigField {
+  /// Flag and job key ("min-gap"); empty for a field no surface sets.
+  std::string_view key;
+  /// Cache-key name ("min_gap").
+  std::string_view canonical;
+  std::string_view help;
+  FieldRole role;
+  /// Parses user text into the field. May be null when `key` is empty.
+  Status (*parse)(std::string_view text, MinerConfig* config);
+  /// Renders the field as user text, e.g. a flag default. May be null
+  /// when `key` is empty.
+  std::string (*format)(const MinerConfig& config);
+  /// Renders the field exactly, for the cache key; null for kExecution.
+  std::string (*canonical_value)(const MinerConfig& config);
+};
+
+/// Every ConfigField. `threads`, `limits`, `cancel` and `observer` have no
+/// row: each surface wires them to its own flags and clamps.
+std::span<const ConfigField> MinerConfigFields();
+
+/// The row whose key is `key`, or null (the empty key matches no row).
+const ConfigField* FindConfigField(std::string_view key);
 
 /// One frequent pattern in a mining result.
 struct FrequentPattern {
@@ -196,6 +229,12 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
 /// until stable.
 StatusOr<MiningResult> MineAdaptive(const Sequence& sequence,
                                     const MinerConfig& config);
+
+/// Runs the miner `algorithm` names: "mpp", "mppm", "enum" or "adaptive";
+/// InvalidArgument for any other name.
+StatusOr<MiningResult> MineWithAlgorithm(const std::string& algorithm,
+                                         const Sequence& sequence,
+                                         const MinerConfig& config);
 
 namespace internal {
 

@@ -15,16 +15,6 @@ namespace pgm {
 
 namespace {
 
-StatusOr<MiningResult> MineOne(const std::string& algorithm,
-                               const Sequence& sequence,
-                               const MinerConfig& config) {
-  if (algorithm == "mpp") return MineMpp(sequence, config);
-  if (algorithm == "mppm") return MineMppm(sequence, config);
-  if (algorithm == "enum") return MineEnumeration(sequence, config);
-  if (algorithm == "adaptive") return MineAdaptive(sequence, config);
-  return Status::InvalidArgument("unknown algorithm: " + algorithm);
-}
-
 /// Bytes the executor keeps alive for one fragment between mining and
 /// aggregation: the window's symbols plus the mined result's footprint.
 std::uint64_t WindowBytes(const Sequence& sequence) {
@@ -169,7 +159,7 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       }
 
       StatusOr<MiningResult> mined =
-          MineOne(options.algorithm, window, config);
+          MineWithAlgorithm(options.algorithm, window, config);
       slot.out.mined = true;
       if (mined.ok()) {
         slot.out.result = *std::move(mined);

@@ -1,45 +1,25 @@
 #include "serve/canonical.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/digest.h"
-#include "util/string_util.h"
 
 namespace pgm {
 
-namespace {
-
-std::string CanonDouble(double value) {
-  // %a round-trips the exact bit pattern; "%g"-style renderings can collapse
-  // distinct configs onto one key.
-  return StrFormat("%a", value);
-}
-
-}  // namespace
-
 std::string CanonicalConfigString(const std::string& algorithm,
                                   const MinerConfig& config) {
-  // Execution knobs (threads, kernel_tier) are deliberately absent: they
-  // never change the mined bytes, so keying on them would only fragment the
-  // cache.
-  std::vector<std::pair<std::string, std::string>> fields;
+  std::vector<std::pair<std::string_view, std::string>> fields;
   fields.emplace_back("algorithm", algorithm);
-  fields.emplace_back("em_order", std::to_string(config.em_order));
-  fields.emplace_back("initial_n", std::to_string(config.initial_n));
-  fields.emplace_back("max_gap", std::to_string(config.max_gap));
-  fields.emplace_back("max_iterations", std::to_string(config.max_iterations));
-  fields.emplace_back("max_length", std::to_string(config.max_length));
-  fields.emplace_back("min_gap", std::to_string(config.min_gap));
-  fields.emplace_back("min_support_ratio",
-                      CanonDouble(config.min_support_ratio));
-  fields.emplace_back("start_length", std::to_string(config.start_length));
-  fields.emplace_back("use_em_bound", config.use_em_bound ? "1" : "0");
-  fields.emplace_back("user_n", std::to_string(config.user_n));
-  // The emplace order above is already alphabetical, but the contract is
-  // "sorted by key", not "insertion order" — keep it true by construction so
-  // a future field added in the wrong spot cannot silently change keys.
+  for (const ConfigField& field : MinerConfigFields()) {
+    if (field.role == FieldRole::kSemantic) {
+      fields.emplace_back(field.canonical, field.canonical_value(config));
+    }
+  }
+  // The rows are in declaration order; the key is sorted by name, so a row
+  // added anywhere in the table cannot reorder existing keys.
   std::sort(fields.begin(), fields.end());
 
   std::string out;

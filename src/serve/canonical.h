@@ -9,17 +9,15 @@
 
 namespace pgm {
 
-/// Renders the semantic fields of `config` — the ones that determine which
-/// patterns a completed run emits — as a canonical string: `key=value;`
-/// pairs sorted by key, doubles in `%a` hex-float form so the rendering is
-/// exact and locale-independent.
+/// Renders `algorithm` and every kSemantic ConfigField row (core/miner.h)
+/// as a canonical string: `key=value;` pairs sorted by key, doubles in `%a`
+/// hex-float form so the rendering is exact and locale-independent.
 ///
-/// Volatile fields are deliberately excluded: `threads`, `observer`,
-/// `cancel`, and `limits` never change a *completed* result (the guard only
-/// observes, and the parallel merge is candidate-ordered), so two requests
-/// that differ only in those fields may share a cache entry. The cache in
-/// turn stores only completed results, which is what makes the exclusion
-/// sound.
+/// The rest of MinerConfig (kExecution rows, `threads`, `limits`, `cancel`,
+/// `observer`) never changes a *completed* result (the guard only observes,
+/// and the parallel merge is candidate-ordered), so requests that differ
+/// only there share a cache entry. The cache in turn stores only completed
+/// results, which is what makes the exclusion sound.
 std::string CanonicalConfigString(const std::string& algorithm,
                                   const MinerConfig& config);
 

@@ -35,16 +35,6 @@ std::uint64_t ClampBudget(std::uint64_t requested, std::uint64_t ceiling) {
   return std::min(requested, ceiling);
 }
 
-StatusOr<MiningResult> RunAlgorithm(const std::string& algorithm,
-                                    const Sequence& sequence,
-                                    const MinerConfig& config) {
-  if (algorithm == "mpp") return MineMpp(sequence, config);
-  if (algorithm == "mppm") return MineMppm(sequence, config);
-  if (algorithm == "enum") return MineEnumeration(sequence, config);
-  if (algorithm == "adaptive") return MineAdaptive(sequence, config);
-  return Status::InvalidArgument("unknown algorithm: " + algorithm);
-}
-
 /// Runs `load` up to policy.max_attempts times, retrying only transient
 /// kIoError failures — Corruption, NotFound, InvalidArgument mean the bytes
 /// (or the request) are wrong and must fail loudly now. Sets *attempts to
@@ -303,7 +293,7 @@ void MiningService::ExecuteSingle(const MiningJob& job,
   run_config.observer = config_.observer;
 
   StatusOr<MiningResult> mined =
-      RunAlgorithm(job.algorithm, *sequence, run_config);
+      MineWithAlgorithm(job.algorithm, *sequence, run_config);
   if (!mined.ok()) {
     response->status = mined.status();
     return;

@@ -2,6 +2,7 @@
 #define PGM_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,9 +27,18 @@ class FlagSet {
   void AddString(const std::string& name, std::string* value,
                  const std::string& help);
   void AddBool(const std::string& name, bool* value, const std::string& help);
+  /// A flag whose value text is handed to `set`, which parses and stores
+  /// it; `default_repr` is the default Usage() shows.
+  void Add(const std::string& name, const std::string& help,
+           std::string default_repr,
+           std::function<Status(const std::string&)> set);
 
-  /// Parses argv. On `--help` returns a NotFound status whose message is the
-  /// usage text (callers print it and exit 0).
+  /// Parses `args` (the command line after the program name). On `--help`
+  /// returns a NotFound status whose message is the usage text (callers
+  /// print it and exit 0).
+  Status Parse(const std::string& program_name,
+               const std::vector<std::string>& args);
+  /// Parse(argv[0], argv[1..argc)).
   Status Parse(int argc, char** argv);
 
   const std::vector<std::string>& positional_args() const {
@@ -39,12 +49,11 @@ class FlagSet {
   std::string Usage() const;
 
  private:
-  enum class Type { kInt64, kDouble, kString, kBool };
   struct Flag {
-    Type type;
-    void* target;
+    std::function<Status(const std::string&)> set;
     std::string help;
     std::string default_repr;
+    bool is_bool = false;
   };
 
   Status SetFlag(const std::string& name, const std::string& value);

@@ -645,6 +645,252 @@ TEST(CliServeTest, MetricsAndTraceExportsCoverTheJobLifecycle) {
 }
 
 // ---------------------------------------------------------------------------
+// Parity of the surfaces generated from the ConfigField table: the flags,
+// defaults and help of `pgm mine`/`pgm corpus` and every job key keep the
+// behavior of their hand-written predecessors.
+// ---------------------------------------------------------------------------
+
+TEST(CliParityTest, MineHelpIsPinned) {
+  std::string output;
+  ASSERT_EQ(RunFromString("pgm mine --help", &output), 0) << output;
+  EXPECT_EQ(output,
+      "pgm mine: find frequent periodic patterns\n"
+      "\n"
+      "Flags:\n"
+      "  --algorithm                mpp | mppm | enum | adaptive"
+      " (default: mppm)\n"
+      "  --csv                      also write all patterns as CSV here"
+      " (default: )\n"
+      "  --deadline-ms              wall-clock budget in ms; partial"
+      " result on expiry (-1 = none) (default: -1)\n"
+      "  --input                    input spec (see pgm --help)"
+      " (default: )\n"
+      "  --kernel                   join-kernel tier: auto | scalar |"
+      " bits | avx2 (auto picks the bitset/AVX2 kernel when the gap"
+      " window fits 64 bits; results are identical under every tier)"
+      " (default: auto)\n"
+      "  --level-stats              include per-level candidates"
+      " (default: false)\n"
+      "  --lift                     also rank patterns by compositional"
+      " lift (observed/expected) (default: false)\n"
+      "  --m                        MPPm e_m order (default: 10)\n"
+      "  --max-gap                  maximum gap M (default: 12)\n"
+      "  --max-length               pattern length cap (-1 = none)"
+      " (default: -1)\n"
+      "  --max-level-candidates     cap on candidates per level (0 ="
+      " unlimited) (default: 0)\n"
+      "  --max-total-candidates     cap on total candidates (0 ="
+      " unlimited) (default: 0)\n"
+      "  --maximal                  condense to maximal patterns"
+      " (default: false)\n"
+      "  --metrics-out              write run metrics"
+      " (counters/gauges/histograms) as deterministic JSON here"
+      " (default: )\n"
+      "  --min-gap                  minimum gap N (default: 9)\n"
+      "  --n                        MPP estimate of longest pattern (-1"
+      " = worst) (default: -1)\n"
+      "  --pil-budget-bytes         PIL memory budget in bytes (0 ="
+      " unlimited) (default: 0)\n"
+      "  --rho-percent              support threshold in percent"
+      " (default: 0.003)\n"
+      "  --start-length             first mined pattern length (default:"
+      " 3)\n"
+      "  --threads                  worker threads for level evaluation"
+      " (1 = serial, 0 = one per hardware thread); results are identical"
+      " at every thread count (default: 1)\n"
+      "  --top                      patterns shown (longest / highest"
+      " ratio first) (default: 25)\n"
+      "  --trace                    write the structured mining trace"
+      " (level starts/ends, prune decisions, guard trips) as JSON here"
+      " (default: )\n"
+      "  --trace-timings            include wall-clock/worker fields and"
+      " shard timings in --trace output (not byte-stable across runs)"
+      " (default: false)\n");
+}
+
+TEST(CliParityTest, CorpusHelpIsPinned) {
+  std::string output;
+  ASSERT_EQ(RunFromString("pgm corpus --help", &output), 0) << output;
+  EXPECT_EQ(output,
+      "pgm corpus: mine every record of a corpus fragment-by-fragment"
+      " (the paper's Section 7 methodology: support is counted within"
+      " fragments, never across fragment boundaries)\n"
+      "\n"
+      "Flags:\n"
+      "  --algorithm                mpp | mppm | enum | adaptive"
+      " (default: mppm)\n"
+      "  --csv                      also write the aggregated patterns"
+      " as CSV here (default: )\n"
+      "  --deadline-ms              corpus-wide wall-clock budget in ms;"
+      " later fragments are skipped on expiry, partial result stays"
+      " sound (-1 = none) (default: -1)\n"
+      "  --fragment-length          window length each record is cut"
+      " into (Section 7 uses 100000) (default: 100000)\n"
+      "  --input                    input spec; fasta:<path> mines every"
+      " record (default: )\n"
+      "  --keep-tail                also mine the final sub-window"
+      " remainder of each record (off = drop it, the paper's convention)"
+      " (default: false)\n"
+      "  --kernel                   join-kernel tier per fragment: auto"
+      " | scalar | bits | avx2 (results are identical under every tier)"
+      " (default: auto)\n"
+      "  --m                        MPPm e_m order (default: 10)\n"
+      "  --max-fragments            cap on total fragments planned (0 ="
+      " all) (default: 0)\n"
+      "  --max-gap                  maximum gap M (default: 12)\n"
+      "  --max-length               pattern length cap (-1 = none)"
+      " (default: -1)\n"
+      "  --max-level-candidates     cap on any single fragment's"
+      " candidate total (0 = unlimited) (default: 0)\n"
+      "  --max-total-candidates     cap on candidates accumulated across"
+      " the corpus (0 = unlimited) (default: 0)\n"
+      "  --metrics-out              write run metrics (corpus.* +"
+      " per-fragment mining counters) as deterministic JSON here"
+      " (default: )\n"
+      "  --min-gap                  minimum gap N (default: 9)\n"
+      "  --n                        MPP estimate of longest pattern (-1"
+      " = worst) (default: -1)\n"
+      "  --no-mmap                  ingest FASTA through the buffered"
+      " reader instead of the memory-mapped scanner (same bytes, same"
+      " result) (default: false)\n"
+      "  --pil-budget-bytes         per-fragment PIL memory budget in"
+      " bytes (0 = unlimited) (default: 0)\n"
+      "  --rho-percent              support threshold in percent"
+      " (default: 0.003)\n"
+      "  --start-length             first mined pattern length (default:"
+      " 3)\n"
+      "  --threads                  worker threads mining whole"
+      " fragments (1 = serial, 0 = one per hardware thread); results are"
+      " identical at every thread count (default: 1)\n"
+      "  --top                      patterns shown (longest / highest"
+      " ratio first) (default: 25)\n"
+      "  --trace                    write the corpus trace"
+      " (fragment_start/fragment_end bracketing each fragment's mining"
+      " events) as JSON here (default: )\n"
+      "  --trace-timings            include wall-clock/worker fields in"
+      " --trace output (not byte-stable across runs) (default: false)\n");
+}
+
+TEST(CliParityTest, BadKernelFlagIsUsageError) {
+  std::string output, error;
+  EXPECT_EQ(RunFromString("pgm mine --input raw:ACGT --kernel sse9", &output,
+                          &error),
+            2);
+  EXPECT_NE(error.find("unknown kernel 'sse9'"), std::string::npos) << error;
+  EXPECT_EQ(RunFromString("pgm corpus --input raw:ACGT --kernel sse9",
+                          &output, &error),
+            2);
+}
+
+TEST(CliJobLineTest, DefaultsComeFromMiningJob) {
+  MiningJob job;
+  ASSERT_TRUE(ParseJobLine("raw:ACGT", 1, &job).ok());
+  EXPECT_EQ(job.input, "raw:ACGT");
+  EXPECT_EQ(job.algorithm, "mpp");
+  EXPECT_EQ(job.config.min_gap, 0);
+  EXPECT_EQ(job.config.max_gap, 0);
+  EXPECT_EQ(job.config.min_support_ratio, 0.0);
+  EXPECT_EQ(job.corpus_fragment_length, 0u);
+  EXPECT_FALSE(job.corpus_keep_tail);
+}
+
+TEST(CliJobLineTest, EveryKeySetsItsField) {
+  MiningJob job;
+  ASSERT_TRUE(ParseJobLine("fasta:g.fa  algorithm=enum min-gap=2 max-gap=7 "
+                           "rho-percent=0.5 start-length=4 max-length=9 n=6 "
+                           "m=3 threads=5 kernel=bits deadline-ms=250 "
+                           "corpus=1000 corpus-keep-tail=1",
+                           3, &job)
+                  .ok());
+  EXPECT_EQ(job.input, "fasta:g.fa");
+  EXPECT_EQ(job.algorithm, "enum");
+  EXPECT_EQ(job.config.min_gap, 2);
+  EXPECT_EQ(job.config.max_gap, 7);
+  EXPECT_EQ(job.config.min_support_ratio, 0.5 / 100.0);
+  EXPECT_EQ(job.config.start_length, 4);
+  EXPECT_EQ(job.config.max_length, 9);
+  EXPECT_EQ(job.config.user_n, 6);
+  EXPECT_EQ(job.config.em_order, 3);
+  EXPECT_EQ(job.config.threads, 5);
+  EXPECT_EQ(job.config.kernel_tier, KernelTier::kBits);
+  EXPECT_EQ(job.config.limits.deadline_ms, 250);
+  EXPECT_EQ(job.corpus_fragment_length, 1000u);
+  EXPECT_TRUE(job.corpus_keep_tail);
+  // Fields no key names keep their MinerConfig{} values.
+  EXPECT_EQ(job.config.limits.pil_memory_budget_bytes, 0u);
+  EXPECT_EQ(job.config.initial_n, MinerConfig{}.initial_n);
+}
+
+TEST(CliJobLineTest, RejectsUnknownKeysAndMalformedTokens) {
+  MiningJob job;
+  const Status unknown = ParseJobLine("raw:ACGT frobnicate=abc", 4, &job);
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.message(), "jobs line 4: unknown key 'frobnicate'");
+  // Execution knobs without a job key stay unknown.
+  EXPECT_FALSE(ParseJobLine("raw:ACGT pil-budget-bytes=1", 1, &job).ok());
+  EXPECT_FALSE(ParseJobLine("raw:ACGT =5", 1, &job).ok());
+  const Status malformed = ParseJobLine("raw:ACGT min-gap", 5, &job);
+  EXPECT_EQ(malformed.message(),
+            "jobs line 5: expected key=value, got 'min-gap'");
+  EXPECT_FALSE(ParseJobLine("   ", 6, &job).ok());
+}
+
+TEST(CliJobLineTest, ValueErrorsNameTheLineAndTheKey) {
+  MiningJob job;
+  EXPECT_EQ(ParseJobLine("raw:ACGT min-gap=x", 7, &job).message(),
+            "jobs line 7: key 'min-gap': trailing garbage in integer: 'x'");
+  EXPECT_EQ(ParseJobLine("raw:ACGT rho-percent=abc", 8, &job).message(),
+            "jobs line 8: key 'rho-percent': trailing garbage in double: "
+            "'abc'");
+  EXPECT_EQ(ParseJobLine("raw:ACGT kernel=sse9", 9, &job).message(),
+            "jobs line 9: key 'kernel': unknown kernel 'sse9' (auto | "
+            "scalar | bits | avx2)");
+  EXPECT_EQ(ParseJobLine("raw:ACGT corpus-keep-tail=yes", 10, &job).message(),
+            "jobs line 10: key 'corpus-keep-tail': trailing garbage in "
+            "integer: 'yes'");
+  EXPECT_EQ(ParseJobLine("raw:ACGT corpus=0", 11, &job).message(),
+            "jobs line 11: key 'corpus': corpus fragment length must be "
+            "positive, got 0");
+}
+
+TEST(CliJobLineTest, ServeReportsTheBadKeyWithoutRunningAnyJob) {
+  const std::string jobs = WriteJobsFile(
+      "serve_badvalue.jobs", "raw:ACGT rho-percent=50\nraw:ACGT min-gap=x\n");
+  std::string output, error;
+  const int code = RunFromString("pgm serve --jobs " + jobs, &output, &error);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 2) << error;
+  EXPECT_NE(error.find("jobs line 2: key 'min-gap': trailing garbage in "
+                       "integer: 'x'"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(output.find("served"), std::string::npos) << output;
+}
+
+TEST(CliServeTest, FailedResponsesSayWhy) {
+  const std::string jobs = WriteJobsFile(
+      "serve_why.jobs",
+      "raw:ACGTACGTACGTACGT rho-percent=50 algorithm=bogus\n"
+      "raw:ACGTACGTACGTACGT max-gap=1\n");
+  std::string output;
+  const int code = RunFromString("pgm serve --jobs " + jobs, &output);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 0) << output;
+  // The status code stays the first outcome token; the message column
+  // comes last and runs to the end of the line.
+  EXPECT_NE(output.find("job 1 raw:ACGTACGTACGTACGT bogus: InvalidArgument "
+                        "message=unknown algorithm: bogus\n"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("job 2 raw:ACGTACGTACGTACGT mpp: InvalidArgument "
+                        "message=min_support_ratio must lie in (0, 1], got "
+                        "0\n"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("2 failed"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Graceful interrupt (the CLI half of the SIGINT/SIGTERM story — the
 // signal handler itself only latches GlobalCancelToken, which is what
 // these tests do directly)

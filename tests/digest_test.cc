@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+
 #include "serve/canonical.h"
 #include "seq/alphabet.h"
 #include "seq/sequence.h"
@@ -70,32 +74,71 @@ TEST(CanonicalTest, DigestGoldens) {
 TEST(CanonicalTest, VolatileFieldsDoNotChangeTheKey) {
   const std::string base = CacheKey(Acgt(), "mpp", MinerConfig{});
 
-  MinerConfig config;
-  config.threads = 8;
-  config.limits.deadline_ms = 1234;
-  config.limits.pil_memory_budget_bytes = 1 << 20;
-  config.limits.max_level_candidates = 99;
-  config.limits.max_total_candidates = 999;
-  CancelToken cancel;
-  config.cancel = &cancel;
-  MiningObserver observer;
-  config.observer = &observer;
   // A completed run under any of these knobs is byte-identical to the
   // ungoverned serial run (the guard only observes; the parallel merge is
-  // candidate-ordered), so they must share the cache entry.
-  EXPECT_EQ(CacheKey(Acgt(), "mpp", config), base);
+  // candidate-ordered; every kernel tier emits identical rows), so they
+  // must share the cache entry — each alone and all together.
+  CancelToken cancel;
+  MiningObserver observer;
+  const std::map<std::string, std::function<void(MinerConfig&)>> knobs = {
+      {"threads", [](MinerConfig& c) { c.threads = 8; }},
+      {"kernel_tier",
+       [](MinerConfig& c) { c.kernel_tier = KernelTier::kScalar; }},
+      {"limits.deadline_ms",
+       [](MinerConfig& c) { c.limits.deadline_ms = 1234; }},
+      {"limits.pil_memory_budget_bytes",
+       [](MinerConfig& c) { c.limits.pil_memory_budget_bytes = 1 << 20; }},
+      {"limits.max_level_candidates",
+       [](MinerConfig& c) { c.limits.max_level_candidates = 99; }},
+      {"limits.max_total_candidates",
+       [](MinerConfig& c) { c.limits.max_total_candidates = 999; }},
+      {"cancel", [&](MinerConfig& c) { c.cancel = &cancel; }},
+      {"observer", [&](MinerConfig& c) { c.observer = &observer; }},
+  };
+  MinerConfig all;
+  for (const auto& [name, perturb] : knobs) {
+    MinerConfig config;
+    perturb(config);
+    perturb(all);
+    EXPECT_EQ(CacheKey(Acgt(), "mpp", config), base) << name;
+  }
+  EXPECT_EQ(CacheKey(Acgt(), "mpp", all), base);
+
+  // Every execution-tagged ConfigField row is among the knobs above.
+  for (const ConfigField& field : MinerConfigFields()) {
+    if (field.role != FieldRole::kExecution) continue;
+    EXPECT_EQ(field.canonical_value, nullptr) << field.canonical;
+    EXPECT_TRUE(knobs.count(std::string(field.canonical))) << field.canonical;
+  }
 }
 
 TEST(CanonicalTest, SemanticFieldsChangeTheKey) {
   const std::string base = CacheKey(Acgt(), "mpp", MinerConfig{});
 
-  MinerConfig gap;
-  gap.max_gap = 5;
-  EXPECT_NE(CacheKey(Acgt(), "mpp", gap), base);
-
-  MinerConfig ratio;
-  ratio.min_support_ratio = 0.25;
-  EXPECT_NE(CacheKey(Acgt(), "mpp", ratio), base);
+  // One perturbation per semantic ConfigField row, keyed by canonical name.
+  const std::map<std::string, std::function<void(MinerConfig&)>> perturb = {
+      {"em_order", [](MinerConfig& c) { c.em_order = 3; }},
+      {"initial_n", [](MinerConfig& c) { c.initial_n = 4; }},
+      {"max_gap", [](MinerConfig& c) { c.max_gap = 5; }},
+      {"max_iterations", [](MinerConfig& c) { c.max_iterations = 2; }},
+      {"max_length", [](MinerConfig& c) { c.max_length = 7; }},
+      {"min_gap", [](MinerConfig& c) { c.min_gap = 1; }},
+      {"min_support_ratio", [](MinerConfig& c) { c.min_support_ratio = 0.25; }},
+      {"start_length", [](MinerConfig& c) { c.start_length = 1; }},
+      {"use_em_bound", [](MinerConfig& c) { c.use_em_bound = false; }},
+      {"user_n", [](MinerConfig& c) { c.user_n = 6; }},
+  };
+  std::size_t semantic_rows = 0;
+  for (const ConfigField& field : MinerConfigFields()) {
+    if (field.role != FieldRole::kSemantic) continue;
+    ++semantic_rows;
+    const auto it = perturb.find(std::string(field.canonical));
+    ASSERT_NE(it, perturb.end()) << "no perturbation for " << field.canonical;
+    MinerConfig config;
+    it->second(config);
+    EXPECT_NE(CacheKey(Acgt(), "mpp", config), base) << field.canonical;
+  }
+  EXPECT_EQ(semantic_rows, perturb.size());
 
   EXPECT_NE(CacheKey(Acgt(), "mppm", MinerConfig{}), base);
 }

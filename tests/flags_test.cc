@@ -146,5 +146,23 @@ TEST(FlagsTest, UsageListsAllFlagsWithDefaults) {
   EXPECT_NE(usage.find("default: abc"), std::string::npos);
 }
 
+TEST(FlagsTest, CustomSetterFromVectorArgs) {
+  FlagSet flags("test");
+  std::string seen;
+  flags.Add("tier", "a custom flag", "auto",
+            [&seen](const std::string& text) -> Status {
+              if (text == "bad") return Status::InvalidArgument("bad tier");
+              seen = text;
+              return Status::OK();
+            });
+  ASSERT_TRUE(flags.Parse("prog", {"--tier", "bits", "rest"}).ok());
+  EXPECT_EQ(seen, "bits");
+  EXPECT_EQ(flags.positional_args(), std::vector<std::string>{"rest"});
+  EXPECT_NE(flags.Usage().find("a custom flag (default: auto)"),
+            std::string::npos);
+  const Status bad = flags.Parse("prog", {"--tier=bad"});
+  EXPECT_EQ(bad.message(), "bad tier");
+}
+
 }  // namespace
 }  // namespace pgm

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/gap.h"
+#include "core/miner.h"
 #include "core/pil.h"
 #include "core/pil_arena.h"
 #include "util/random.h"
@@ -242,15 +243,19 @@ TEST(KernelDispatch, ResolveKernelFollowsTierAndWindowRules) {
 }
 
 TEST(KernelDispatch, TierStringsRoundTrip) {
+  // Tier names are parsed by the "kernel" ConfigField row (core/miner.h).
+  const ConfigField* kernel = FindConfigField("kernel");
+  ASSERT_NE(kernel, nullptr);
   for (KernelTier tier : {KernelTier::kAuto, KernelTier::kScalar,
                           KernelTier::kBits, KernelTier::kAvx2}) {
-    KernelTier parsed = KernelTier::kAuto;
-    ASSERT_TRUE(KernelTierFromString(KernelTierToString(tier), &parsed));
-    EXPECT_EQ(parsed, tier);
+    MinerConfig config;
+    ASSERT_TRUE(kernel->parse(KernelTierToString(tier), &config).ok());
+    EXPECT_EQ(config.kernel_tier, tier);
+    EXPECT_EQ(kernel->format(config), KernelTierToString(tier));
   }
-  KernelTier parsed = KernelTier::kAuto;
-  EXPECT_FALSE(KernelTierFromString("sse9", &parsed));
-  EXPECT_FALSE(KernelTierFromString("", &parsed));
+  MinerConfig config;
+  EXPECT_FALSE(kernel->parse("sse9", &config).ok());
+  EXPECT_FALSE(kernel->parse("", &config).ok());
   EXPECT_STREQ(KernelImplToString(KernelImpl::kScalar), "scalar");
   EXPECT_STREQ(KernelImplToString(KernelImpl::kBits), "bits");
   EXPECT_STREQ(KernelImplToString(KernelImpl::kAvx2), "avx2");

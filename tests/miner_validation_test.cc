@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+
 #include "core/miner.h"
 
 namespace pgm {
@@ -101,6 +104,43 @@ TEST(MinerValidationTest, StartLengthBeyondL2YieldsEmptyResult) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->patterns.empty());
   EXPECT_TRUE(result->level_stats.empty());
+}
+
+TEST(MinerValidationTest, MineWithAlgorithmDispatchesByName) {
+  for (const char* algorithm : {"mpp", "mppm", "enum", "adaptive"}) {
+    EXPECT_TRUE(MineWithAlgorithm(algorithm, SmallSeq(), ValidConfig()).ok())
+        << algorithm;
+  }
+  const StatusOr<MiningResult> bogus =
+      MineWithAlgorithm("bogus", SmallSeq(), ValidConfig());
+  EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bogus.status().message(), "unknown algorithm: bogus");
+}
+
+// The ConfigField table: keys and cache-key names are unique, every keyed
+// row parses back what it formats, and only keyless rows lack a parser.
+TEST(ConfigFieldTest, RowsAreUniqueAndRoundTripTheirText) {
+  std::set<std::string_view> keys, canonicals;
+  for (const ConfigField& field : MinerConfigFields()) {
+    EXPECT_TRUE(canonicals.insert(field.canonical).second) << field.canonical;
+    EXPECT_EQ(field.canonical_value == nullptr,
+              field.role == FieldRole::kExecution)
+        << field.canonical;
+    if (field.key.empty()) continue;
+    EXPECT_TRUE(keys.insert(field.key).second) << field.key;
+    EXPECT_EQ(FindConfigField(field.key), &field);
+    EXPECT_FALSE(field.help.empty()) << field.key;
+    ASSERT_NE(field.parse, nullptr) << field.key;
+    ASSERT_NE(field.format, nullptr) << field.key;
+    MinerConfig config = ValidConfig();
+    config.kernel_tier = KernelTier::kBits;
+    MinerConfig parsed;
+    ASSERT_TRUE(field.parse(field.format(config), &parsed).ok()) << field.key;
+    EXPECT_EQ(field.format(parsed), field.format(config)) << field.key;
+  }
+  EXPECT_EQ(keys.size(), 8u);  // the pgm mine/corpus flags and job keys
+  EXPECT_EQ(FindConfigField(""), nullptr);
+  EXPECT_EQ(FindConfigField("threads"), nullptr);
 }
 
 }  // namespace

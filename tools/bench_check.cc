@@ -7,9 +7,11 @@
 // The files are the flat `"key": number` JSON bench_regression emits.
 // Direction is inferred from the key: "*_ms" metrics regress by going up,
 // "*_speedup" / "*_ratio" metrics regress by going down. Keys prefixed
-// "info." are informational and never checked; a tracked baseline key
-// missing from the current file is a failure (a silently dropped metric is
-// a regression of the harness itself). A baseline whose `info.abi_stamp`
+// "info." are informational and never checked. A tracked baseline key
+// whose direction cannot be inferred is a failure (a row the harness calls
+// gated must actually be gated), and so is a tracked baseline key missing
+// from the current file (a silently dropped metric is a regression of the
+// harness itself). A baseline whose `info.abi_stamp`
 // is missing or older than util/bench_abi.h's current stamp draws a
 // deprecation warning (not a failure) asking for regeneration.
 
@@ -143,8 +145,11 @@ int Main(int argc, char** argv) {
     const bool higher_is_better =
         EndsWith(key, "_speedup") || EndsWith(key, "_ratio");
     if (!lower_is_better && !higher_is_better) {
-      std::printf("  ok  %s: %g (untracked direction, informational)\n",
-                  key.c_str(), now);
+      std::fprintf(stderr,
+                   "FAIL %s: direction unknown (name it *_ms, *_speedup or "
+                   "*_ratio, or prefix it info.)\n",
+                   key.c_str());
+      ++failures;
       continue;
     }
     const double limit =
@@ -160,7 +165,9 @@ int Main(int argc, char** argv) {
     }
   }
   if (failures > 0) {
-    std::fprintf(stderr, "bench_check: %d metric(s) regressed beyond %.0f%%\n",
+    std::fprintf(stderr,
+                 "bench_check: %d tracked metric(s) failed (missing, "
+                 "direction unknown, or regressed beyond %.0f%%)\n",
                  failures, tolerance * 100.0);
     return 1;
   }
