@@ -380,15 +380,8 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
   config.cancel = &GlobalCancelToken();
   config.observer = exports.Observer();
 
-  StatusOr<MiningResult> mined = [&]() -> StatusOr<MiningResult> {
-    if (algorithm == "mpp") return MineMpp(sequence, config);
-    if (algorithm == "mppm") return MineMppm(sequence, config);
-    if (algorithm == "enum") return MineEnumeration(sequence, config);
-    if (algorithm == "adaptive") return MineAdaptive(sequence, config);
-    return Status::InvalidArgument("unknown --algorithm '" + algorithm + "'");
-  }();
-  PGM_RETURN_IF_ERROR(mined.status());
-  const MiningResult& result = *mined;
+  PGM_ASSIGN_OR_RETURN(const MiningResult result,
+                       MineWithAlgorithm(algorithm, sequence, config));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
                        GapRequirement::Create(config.min_gap, config.max_gap));
 

@@ -111,6 +111,14 @@ class MiningGuard {
   [[nodiscard]] bool ChargeMemory(std::uint64_t bytes);
   /// Returns memory accounted by a matching ChargeMemory (freed PILs).
   void ReleaseMemory(std::uint64_t bytes);
+  /// Latches kMemoryBudget without charging: the PIL store could not obtain
+  /// the memory at all (its reservation is exhausted, or the kernel refused
+  /// it), so the run unwinds exactly as on a budget trip.
+  void StopForMemory() { Stop(TerminationReason::kMemoryBudget); }
+  /// The PIL memory budget in bytes (0 = unlimited).
+  std::uint64_t memory_budget_bytes() const {
+    return limits_.pil_memory_budget_bytes;
+  }
 
   /// Accounts one level's candidate set against the per-level and total
   /// candidate caps.

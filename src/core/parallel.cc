@@ -192,13 +192,16 @@ Status ParallelLevelExecutor::ExecuteJoin(
   std::vector<std::uint32_t> meta_lens;
   std::vector<SupportInfo> meta_supports;
 
+  // The output arena's base never moves (its reservation is fixed), so
+  // every piece addresses its slice from this one pointer.
+  PilEntry* const out_base = out.MutableRows(PilSpan{});
+
   // Lock-free handoff state. piece_limit's release-store publishes the
-  // pieces' out_offset/meta_base assignments and out_base; a claim's
-  // acquire-load pairs with it. piece_state's release/acquire publishes the
-  // filled rows and metadata to the merging driver.
+  // pieces' out_offset/meta_base assignments; a claim's acquire-load pairs
+  // with it. piece_state's release/acquire publishes the filled rows and
+  // metadata to the merging driver.
   std::atomic<std::uint64_t> next_piece{0};
   std::atomic<std::uint64_t> piece_limit{0};
-  std::atomic<PilEntry*> out_base{nullptr};
   std::atomic<bool> stop{false};        // sink failed: fills are pointless
   std::atomic<bool> level_done{false};  // drained: workers may exit
   std::vector<std::atomic<std::uint8_t>> piece_state(
@@ -241,14 +244,13 @@ Status ParallelLevelExecutor::ExecuteJoin(
         ws.suffixes.resize(count);
         ws.outputs.resize(count);
       }
-      PilEntry* base = out_base.load(std::memory_order_relaxed);
       for (std::uint32_t k = 0; k < count; ++k) {
         const ArenaEntry& right =
             right_entries[pool[task.rights_begin + piece.begin + k]];
         ws.suffixes[k] =
             GroupSuffix{right_arena.Rows(right.span), right.span.len};
         ws.outputs[k] = GroupOutput{
-            base + piece.out_offset + k * piece.left_len, 0, {}};
+            out_base + piece.out_offset + k * piece.left_len, 0, {}};
       }
       CombinePrefixGroupKernel(kernel,
                                left_arena.Rows(left_entries[task.left].span),
@@ -277,8 +279,9 @@ Status ParallelLevelExecutor::ExecuteJoin(
 
   // Publishes blocks while they fit in the reserved window. When the
   // window is exhausted and drained (merge_head == published), recycles it:
-  // truncate the dead scratch, Reserve a fresh window — the only potential
-  // reallocation, and by construction no piece is in flight to observe it.
+  // truncate the dead scratch, Reserve a fresh window and resize the window
+  // metadata. Truncation hands the dead rows back for reuse and the resize
+  // may move the metadata arrays, so no piece may be in flight.
   auto publish_blocks = [&]() {
     bool any = false;
     while (!publish_stopped && next_block < blocks.size()) {
@@ -310,8 +313,6 @@ Status ParallelLevelExecutor::ExecuteJoin(
           meta_supports.resize(static_cast<std::size_t>(cands));
         }
         window_meta = 0;
-        out_base.store(out.MutableRows(PilSpan{0, 0}),
-                       std::memory_order_relaxed);
         continue;
       }
       for (std::uint64_t p = block.piece_begin; p < block.piece_end; ++p) {

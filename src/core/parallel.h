@@ -67,9 +67,11 @@ using JoinSink = std::function<Status(const JoinedCandidate&)>;
 /// kWindowRowsTarget rows (at least one block) ahead of the watermark and
 /// publishes blocks only while they fit; when the window is exhausted and
 /// every published piece has merged, it truncates the dead scratch and
-/// recycles the window. Reserve() — the only call that may reallocate the
-/// buffer — therefore runs only while no piece is in flight, which is what
-/// makes the workers' raw row pointers stable. Promote() compacts merged
+/// recycles the window. The arena's base never moves (its reservation is
+/// fixed), so workers address every slice from one pointer taken at entry;
+/// recycling waits for an empty pipeline because truncation hands dead
+/// scratch rows back for reuse and the window metadata is resized then,
+/// not because the rows could move. Promote() compacts merged
 /// rows onto the watermark, which never overtakes an unmerged piece's slice
 /// because retained rows never exceed the scratch they came from.
 ///

@@ -13,7 +13,15 @@ namespace pgm {
 
 /// One entry of a partial index list: there are exactly `count` offset
 /// sequences of the pattern whose first offset is `pos` (0-based).
-struct PilEntry {
+///
+/// Packed to 12 bytes with 4-byte alignment: `count` sits at offset 4
+/// instead of being padded out to 8, so a row costs 12 bytes rather than
+/// 16. PIL rows are the miner's memory, so this is a quarter off every
+/// level's footprint; the count keeps its full 64 bits (saturating
+/// supports need them). Being a packed member, `count` binds to a const
+/// reference only through a temporary copy, and not at all to a mutable
+/// one — so no misaligned uint64_t reference can escape.
+struct __attribute__((packed, aligned(4))) PilEntry {
   std::uint32_t pos;
   std::uint64_t count;
 
@@ -21,6 +29,8 @@ struct PilEntry {
     return pos == other.pos && count == other.count;
   }
 };
+static_assert(sizeof(PilEntry) == 12, "PIL rows are 12 bytes");
+static_assert(alignof(PilEntry) == 4, "PIL rows are 4-byte aligned");
 
 // `pos` is 32 bits, so a PIL can only index sequences whose last position
 // fits in it. Sequence construction and ValidateConfig reject anything

@@ -15,7 +15,7 @@ namespace pgm {
 /// A half-open row range inside a PilArena: the arena-backed representation
 /// of one pattern's partial index list. Spans are trivially copyable and
 /// 16 bytes, so pattern tables stay compact; the rows themselves live in
-/// the owning arena's contiguous buffer.
+/// the owning arena's fixed reservation.
 struct PilSpan {
   std::uint64_t offset = 0;
   std::uint64_t len = 0;
@@ -28,10 +28,23 @@ struct PilSpan {
 ///
 /// The level-wise engines keep two arenas that ping-pong across levels: the
 /// join reads level l-1's spans from the source arena and writes level l's
-/// rows into the destination arena, then the source is Clear()ed (capacity
-/// kept) and the roles swap. Once both arenas have grown to the run's
-/// high-water mark, steady-state mining performs zero heap allocations in
-/// the join loop.
+/// rows into the destination arena, then the source is Clear()ed (its
+/// high-water mark kept) and the roles swap.
+///
+/// Storage: the arena maps one fixed virtual range at construction
+/// (PROT_NONE, MAP_NORESERVE — address space only; a small arena's mapping
+/// is parked for reuse when it dies) and Reserve makes a growing prefix of
+/// it writable with mprotect, in kCommitStepBytes steps. The base pointer
+/// therefore never moves while the arena lives: growth
+/// copies no row and zero-fills nothing (the kernel hands out zero pages on
+/// first touch), and a span's rows stay where they were written. The
+/// still-PROT_NONE tail is the overrun guard: a write past the committed
+/// prefix faults instead of landing in someone else's memory. The usable
+/// reservation is physical memory, or the guard's PIL memory budget when
+/// that is smaller (rounded up to a page); a Reserve that would
+/// overrun it, or whose mmap/mprotect failed, returns false with the guard
+/// latched as kMemoryBudget — the same partial-but-sound unwind as a budget
+/// trip.
 ///
 /// Scratch/watermark protocol: rows appended above `watermark()` are
 /// speculative join output ("scratch"). The serial consumer either
@@ -49,31 +62,34 @@ struct PilSpan {
 /// survived — every scratch row was either promoted or truncated — which is
 /// the structural half of the ledger-balance invariant.
 ///
-/// Guard accounting: the arena charges its *capacity* against the guard's
-/// memory ledger — the delta on every growth, the whole capacity back on
-/// destruction (or move-assignment). Capacity never shrinks while the arena
-/// lives, so the ledger carries each arena's high-water footprint rather
-/// than per-PIL vector capacities, and it drains to zero exactly when the
-/// arenas die with the run.
+/// Guard accounting: the arena charges its *high-water rows* — the largest
+/// row count any Reserve asked for — against the guard's memory ledger: the
+/// delta each time the mark rises, the whole mark back on destruction (or
+/// move-assignment). The mark never falls while the arena lives (Clear
+/// keeps it), so the ledger carries each arena's real high-water footprint,
+/// and it drains to zero exactly when the arenas die with the run.
 ///
 /// Thread safety: Reserve/Allocate/Promote/Truncate/Clear are serial-only.
-/// Concurrent workers may call Rows()/MutableRows() on disjoint spans
-/// between a Reserve and the next serial mutation (the buffer is stable in
-/// that window — this is the executor's fill phase).
+/// Concurrent workers may call Rows()/MutableRows() on disjoint reserved
+/// spans at any time, including across a Reserve: the base is fixed.
 class PilArena {
  public:
-  /// An unaccounted arena (no guard).
-  PilArena() = default;
+  /// Granularity in which Reserve makes the reservation writable (one
+  /// transparent huge page, so committed prefixes stay huge-page aligned).
+  static constexpr std::size_t kCommitStepBytes = std::size_t{2} << 20;
+
+  /// An unaccounted arena (no guard), reserved from physical memory.
+  PilArena() : PilArena(nullptr) {}
   /// `guard` may be null (unaccounted); when non-null it must outlive the
-  /// arena.
-  explicit PilArena(MiningGuard* guard) : guard_(guard) {}
+  /// arena, and its PIL memory budget caps the reservation.
+  explicit PilArena(MiningGuard* guard);
   ~PilArena() { Release(); }
 
   PilArena(const PilArena&) = delete;
   PilArena& operator=(const PilArena&) = delete;
 
-  /// Moves transfer the buffer and its ledger charge; the source is left
-  /// empty and chargeless.
+  /// Moves transfer the mapping and its ledger charge; the source is left
+  /// empty, chargeless and unmapped (every Reserve on it fails).
   PilArena(PilArena&& other) noexcept { MoveFrom(other); }
   PilArena& operator=(PilArena&& other) noexcept {
     if (this != &other) {
@@ -83,32 +99,37 @@ class PilArena {
     return *this;
   }
 
-  /// Grows capacity to at least `total_rows` (geometric growth, never
-  /// shrinks) and charges the delta to the guard. Returns false when the
-  /// charge tripped the memory budget — the capacity is still available, so
-  /// the caller can finish the in-flight block before unwinding (the same
-  /// "deliver what was paid for" contract the per-vector ledger had).
+  /// Makes rows [0, total_rows) writable, raising the high-water mark (never
+  /// lowering it) and charging the rise to the guard. Never moves, copies
+  /// or clears a row. Returns false when the charge tripped the memory
+  /// budget — the rows are still writable, so the caller can finish the
+  /// in-flight block before unwinding (the "deliver what was paid for"
+  /// contract) — and also when the rows do not fit the reservation or the
+  /// kernel refused them, in which case they are NOT writable and the guard
+  /// (if any) is latched as kMemoryBudget.
   /// [[nodiscard]]: ignoring the verdict would mine past a tripped budget.
   [[nodiscard]] bool Reserve(std::size_t total_rows);
 
-  /// Appends `len` uninitialized rows and returns their span. Capacity must
+  /// Appends `len` uninitialized rows and returns their span. The rows must
   /// have been Reserve()d. Serial-only.
   PilSpan Allocate(std::size_t len) {
+    assert(size_ + len <= high_water_rows_ && "Allocate past Reserve");
     PilSpan span{size_, len};
     size_ += len;
     return span;
   }
 
-  /// Appends one initialized row (first-level construction). Capacity must
+  /// Appends one initialized row (first-level construction). The row must
   /// have been Reserve()d. Serial-only.
-  void AppendRow(PilEntry row) { rows_[size_++] = row; }
+  void AppendRow(PilEntry row) {
+    assert(size_ < high_water_rows_ && "AppendRow past Reserve");
+    rows_[size_++] = row;
+  }
 
   const PilEntry* Rows(const PilSpan& span) const {
-    return rows_.data() + span.offset;
+    return rows_ + span.offset;
   }
-  PilEntry* MutableRows(const PilSpan& span) {
-    return rows_.data() + span.offset;
-  }
+  PilEntry* MutableRows(const PilSpan& span) { return rows_ + span.offset; }
 
   /// Rows in use (retained + scratch).
   std::uint64_t size() const { return size_; }
@@ -153,8 +174,8 @@ class PilArena {
   /// first-level construction, where every row is level output).
   void SealWatermark() { watermark_ = size_; }
 
-  /// Empties the arena but keeps the capacity and its ledger charge — the
-  /// ping-pong reuse path. Illegal inside a scratch window.
+  /// Empties the arena but keeps the high-water mark and its ledger charge
+  /// — the ping-pong reuse path. Illegal inside a scratch window.
   void Clear() {
     assert(!scratch_open_ && "Clear inside an open scratch window");
     size_ = 0;
@@ -166,15 +187,16 @@ class PilArena {
     return SupportOfRows(Rows(span), span.len);
   }
 
-  /// Capacity bytes currently charged to the guard (the arena's high-water
-  /// footprint).
+  /// Bytes currently charged to the guard: the high-water rows Reserve has
+  /// asked for, times the row size.
   std::uint64_t capacity_bytes() const {
-    return rows_.size() * sizeof(PilEntry);
+    return high_water_rows_ * sizeof(PilEntry);
   }
 
-  /// Number of buffer growths since construction. A warmed-up arena stops
-  /// growing: steady-state levels report zero new growths, which is the
-  /// "zero allocations in the join loop" claim in checkable form.
+  /// Number of Reserve calls that carried the high-water mark into a new
+  /// commit step since construction. A warmed-up arena stops growing:
+  /// steady-state levels report zero new growths, which is the "no growth
+  /// in the join loop" claim in checkable form.
   std::uint64_t growth_count() const { return growths_; }
 
  private:
@@ -182,14 +204,33 @@ class PilArena {
   void MoveFrom(PilArena& other);
 
   MiningGuard* guard_ = nullptr;
-  // Sized to capacity up front (Reserve resizes, Allocate only bumps), so
-  // worker threads never observe a reallocation.
-  std::vector<PilEntry> rows_;
+  // Base of the reservation (null when unmapped); fixed for the arena's
+  // life, so worker threads never observe a move.
+  PilEntry* rows_ = nullptr;
+  std::size_t reserved_bytes_ = 0;   // usable prefix of the mapping
+  std::size_t committed_bytes_ = 0;  // writable prefix of the mapping
+  std::uint64_t high_water_rows_ = 0;
   std::uint64_t size_ = 0;
   std::uint64_t watermark_ = 0;
   std::uint64_t growths_ = 0;
   bool scratch_open_ = false;
 };
+
+namespace internal {
+
+/// Test seam: while alive, arenas constructed on any thread reserve at
+/// most `bytes` of address space (rounded up to a page), so tests
+/// can drive the reservation-overrun branch of Reserve without exhausting
+/// real memory. Scopes must not nest.
+class ScopedReservationCap {
+ public:
+  explicit ScopedReservationCap(std::size_t bytes);
+  ~ScopedReservationCap();
+  ScopedReservationCap(const ScopedReservationCap&) = delete;
+  ScopedReservationCap& operator=(const ScopedReservationCap&) = delete;
+};
+
+}  // namespace internal
 
 /// One suffix input of a prefix-group join.
 struct GroupSuffix {

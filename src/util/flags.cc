@@ -36,15 +36,15 @@ void FlagSet::AddString(const std::string& name, std::string* value,
 void FlagSet::AddBool(const std::string& name, bool* value,
                       const std::string& help) {
   Add(name, help, *value ? "true" : "false",
-      [name, value](const std::string& text) {
+      [value](const std::string& text) {
         const std::string lower = ToLower(text);
         if (lower == "true" || lower == "1" || lower.empty()) {
           *value = true;
         } else if (lower == "false" || lower == "0") {
           *value = false;
         } else {
-          return Status::InvalidArgument("bad boolean value for --" + name +
-                                         ": '" + text + "'");
+          return Status::InvalidArgument("bad boolean value: '" + text +
+                                         "'");
         }
         return Status::OK();
       });
@@ -62,12 +62,15 @@ Status FlagSet::SetFlag(const std::string& name, const std::string& value) {
   if (it == flags_.end()) {
     return Status::InvalidArgument("unknown flag --" + name + "\n" + Usage());
   }
-  return it->second.set(value);
+  // Setters report only what is wrong with the text; the flag's name is
+  // added here, once, so every value error says which flag it came from.
+  const Status status = it->second.set(value);
+  if (status.ok()) return status;
+  return Status(status.code(), "--" + name + ": " + status.message());
 }
 
-Status FlagSet::Parse(const std::string& program_name,
+Status FlagSet::Parse(const std::string& /*program_name*/,
                       const std::vector<std::string>& args) {
-  program_name_ = program_name;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--help" || arg == "-h") {

@@ -33,9 +33,10 @@ class FlagSet {
            std::string default_repr,
            std::function<Status(const std::string&)> set);
 
-  /// Parses `args` (the command line after the program name). On `--help`
-  /// returns a NotFound status whose message is the usage text (callers
-  /// print it and exit 0).
+  /// Parses `args` (the command line after the program name; the name
+  /// itself is not used). On `--help` returns a NotFound status whose
+  /// message is the usage text (callers print it and exit 0). A rejected
+  /// value's message starts with the flag, e.g. `--min-gap: ...`.
   Status Parse(const std::string& program_name,
                const std::vector<std::string>& args);
   /// Parse(argv[0], argv[1..argc)).
@@ -59,7 +60,6 @@ class FlagSet {
   Status SetFlag(const std::string& name, const std::string& value);
 
   std::string description_;
-  std::string program_name_;
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_args_;
 };

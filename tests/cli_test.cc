@@ -123,7 +123,17 @@ TEST(CliRunTest, MineRejectsUnknownAlgorithm) {
                 "--max-gap 1 --rho-percent 1",
                 &output),
             2);
-  EXPECT_NE(output.find("unknown --algorithm"), std::string::npos);
+  EXPECT_NE(output.find("unknown algorithm: quantum"), std::string::npos);
+}
+
+TEST(CliRunTest, MineFlagValueErrorNamesTheFlag) {
+  std::string output, error;
+  EXPECT_EQ(RunFromString("pgm mine --input raw:ACGT --min-gap x", &output,
+                          &error),
+            2);
+  EXPECT_NE(error.find("--min-gap: trailing garbage in integer: 'x'"),
+            std::string::npos)
+      << error;
 }
 
 TEST(CliRunTest, MineWritesCsv) {

@@ -112,6 +112,25 @@ TEST(FlagsTest, RejectsBadInteger) {
   EXPECT_FALSE(flags.Parse(args.argc(), args.argv()).ok());
 }
 
+TEST(FlagsTest, ValueErrorsNameTheFlag) {
+  FlagSet flags("test");
+  std::int64_t n = 0;
+  bool b = false;
+  flags.AddInt64("min-gap", &n, "an int");
+  flags.AddBool("verbose", &b, "a bool");
+  // Both spellings of a value, and both the built-in and bool setters,
+  // report the flag before the setter's own message; the code is kept.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--min-gap", "x"},
+        std::vector<std::string>{"--min-gap=x"}}) {
+    const Status status = flags.Parse("prog", args);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "--min-gap: trailing garbage in integer: 'x'");
+  }
+  const Status bad_bool = flags.Parse("prog", {"--verbose=banana"});
+  EXPECT_EQ(bad_bool.message(), "--verbose: bad boolean value: 'banana'");
+}
+
 TEST(FlagsTest, CollectsPositionalArgs) {
   FlagSet flags("test");
   std::int64_t n = 0;
@@ -161,7 +180,7 @@ TEST(FlagsTest, CustomSetterFromVectorArgs) {
   EXPECT_NE(flags.Usage().find("a custom flag (default: auto)"),
             std::string::npos);
   const Status bad = flags.Parse("prog", {"--tier=bad"});
-  EXPECT_EQ(bad.message(), "bad tier");
+  EXPECT_EQ(bad.message(), "--tier: bad tier");
 }
 
 }  // namespace

@@ -127,11 +127,12 @@ const char kGoldenMetrics[] =
     "  },\n"
     "  \"histograms\": {\n"
     // pil_bytes reports the exact rows of each candidate's arena span
-    // (span.len * sizeof(PilEntry)), not the old per-vector capacity.
+    // (span.len * sizeof(PilEntry), 12-byte rows), not the old per-vector
+    // capacity.
     "    \"mine.candidate.pil_bytes\": {\"bounds\": [64, 256, 1024, 4096, "
     "16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864], "
     "\"buckets\": [4, 38, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \"count\": 42, "
-    "\"sum\": 7536},\n"
+    "\"sum\": 5652},\n"
     "    \"mine.candidate.support\": {\"bounds\": [1, 2, 4, 8, 16, 32, 64, "
     "128, 256, 512, 1024, 4096, 16384, 65536, 262144, 1048576], "
     "\"buckets\": [0, 0, 4, 6, 21, 7, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], "

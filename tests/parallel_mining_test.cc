@@ -265,6 +265,7 @@ struct JoinRun {
   std::vector<SinkRecord> delivered;
   std::uint64_t ticks = 0;
   bool interrupted = false;
+  TerminationReason reason = TerminationReason::kCompleted;
   Status status = Status::OK();
 };
 
@@ -307,6 +308,7 @@ JoinRun RunJoin(const internal::BuiltLevel& level,
         &run.interrupted);
     out.EndScratch();
     run.ticks = guard.ticks();
+    run.reason = guard.reason();
   }
   return run;
 }
@@ -375,6 +377,48 @@ TEST(ParallelMiningTest, MemoryTripPrefixByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.delivered, reference.delivered)
         << "memory-trip truncation point moved with the thread count";
   }
+}
+
+// The other way a window Reserve can fail: the rows do not fit the output
+// arena's fixed reservation (or the kernel refuses them). The test seam
+// shrinks the reservation so a later window overruns it; the guard must
+// latch kMemoryBudget at the same window boundary as a budget trip, so the
+// delivered prefix is byte-identical at 1 and 4 threads.
+TEST(ParallelMiningTest, ReservationOverrunPrefixByteIdenticalAcrossThreads) {
+  GapRequirement gap = *GapRequirement::Create(0, 2);
+  internal::BuiltLevel level = MultiWindowLevel(gap);
+  const internal::JoinPlan plan = internal::JoinPlan::SelfJoin(level.entries);
+  ASSERT_FALSE(plan.empty());
+
+  std::size_t trip_cap = 0;
+  JoinRun reference;
+  for (std::size_t cap : {std::size_t{1} << 20, (std::size_t{3} << 20) / 2,
+                          std::size_t{1} << 19}) {
+    internal::ScopedReservationCap scoped(cap);
+    JoinRun run = RunJoin(level, plan, gap, /*threads=*/1,
+                          /*memory_budget=*/0, /*fail_after=*/-1);
+    ASSERT_TRUE(run.status.ok()) << run.status.message();
+    if (run.interrupted && !run.delivered.empty() &&
+        run.delivered.size() < plan.num_candidates()) {
+      trip_cap = cap;
+      reference = std::move(run);
+      break;
+    }
+  }
+  ASSERT_NE(trip_cap, 0u)
+      << "no probed reservation produced a mid-level overrun";
+  EXPECT_EQ(reference.reason, TerminationReason::kMemoryBudget);
+  EXPECT_EQ(reference.ticks, reference.delivered.size());
+
+  internal::ScopedReservationCap scoped(trip_cap);
+  JoinRun run = RunJoin(level, plan, gap, /*threads=*/4, /*memory_budget=*/0,
+                        /*fail_after=*/-1);
+  ASSERT_TRUE(run.status.ok()) << run.status.message();
+  EXPECT_TRUE(run.interrupted);
+  EXPECT_EQ(run.reason, TerminationReason::kMemoryBudget);
+  EXPECT_EQ(run.ticks, run.delivered.size());
+  EXPECT_EQ(run.delivered, reference.delivered)
+      << "reservation-overrun truncation point moved with the thread count";
 }
 
 TEST(ParallelMiningTest, SinkErrorPrefixByteIdenticalAcrossThreadCounts) {

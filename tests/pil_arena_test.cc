@@ -210,18 +210,64 @@ TEST(PilArenaMechanicsTest, ClearKeepsCapacityAndChargeForPingPong) {
     EXPECT_EQ(arena.capacity_bytes(), 1000 * sizeof(PilEntry));
     EXPECT_EQ(guard.memory_in_use_bytes(), arena.capacity_bytes());
 
-    // Re-reserving within capacity is allocation-free.
+    // Re-reserving within the high-water mark charges nothing.
     ASSERT_TRUE(arena.Reserve(500));
     ASSERT_TRUE(arena.Reserve(1000));
-    EXPECT_EQ(arena.growth_count(), 1u);
-    // Growing past capacity doubles (geometric growth).
+    EXPECT_EQ(arena.capacity_bytes(), 1000 * sizeof(PilEntry));
+    // Raising the mark charges exactly the new rows — the real high-water
+    // footprint, not a doubled capacity — and stays inside the committed
+    // step, so nothing is mapped.
     ASSERT_TRUE(arena.Reserve(1001));
+    EXPECT_EQ(arena.capacity_bytes(), 1001 * sizeof(PilEntry));
+    EXPECT_EQ(guard.memory_in_use_bytes(), arena.capacity_bytes());
+    EXPECT_EQ(arena.growth_count(), 1u);
+    // Past the committed step the writable prefix grows once more.
+    const std::size_t step_rows = PilArena::kCommitStepBytes / sizeof(PilEntry);
+    ASSERT_TRUE(arena.Reserve(step_rows + 1));
     EXPECT_EQ(arena.growth_count(), 2u);
-    EXPECT_EQ(arena.capacity_bytes(), 2000 * sizeof(PilEntry));
+    EXPECT_EQ(arena.capacity_bytes(), (step_rows + 1) * sizeof(PilEntry));
     EXPECT_EQ(guard.memory_in_use_bytes(), arena.capacity_bytes());
   }
   EXPECT_EQ(guard.memory_in_use_bytes(), 0u);
-  EXPECT_EQ(guard.memory_peak_bytes(), 2000 * sizeof(PilEntry));
+  EXPECT_EQ(guard.memory_peak_bytes(),
+            (PilArena::kCommitStepBytes / sizeof(PilEntry) + 1) *
+                sizeof(PilEntry));
+}
+
+TEST(PilArenaMechanicsTest, ReserveNeverMovesTheRows) {
+  PilArena arena;
+  ASSERT_TRUE(arena.Reserve(16));
+  const PilSpan span = arena.Allocate(1);
+  arena.MutableRows(span)[0] = PilEntry{3, 7};
+  const PilEntry* base = arena.Rows(PilSpan{});
+  // Grow across several commit steps: the base and the row stay put.
+  for (std::size_t rows : {std::size_t{4096}, std::size_t{1} << 18,
+                           std::size_t{1} << 20}) {
+    ASSERT_TRUE(arena.Reserve(rows));
+    EXPECT_EQ(arena.Rows(PilSpan{}), base) << "rows=" << rows;
+    EXPECT_EQ(arena.Rows(span)[0], (PilEntry{3, 7}));
+  }
+  // The newly writable tail is usable right up to the high-water mark.
+  const PilSpan tail = arena.Allocate((std::size_t{1} << 20) - 1);
+  arena.MutableRows(tail)[tail.len - 1] = PilEntry{9, 9};
+  EXPECT_EQ(arena.Rows(tail)[tail.len - 1], (PilEntry{9, 9}));
+  EXPECT_EQ(arena.Rows(PilSpan{}), base);
+}
+
+TEST(PilArenaMechanicsTest, ReservationOverrunLatchesMemoryBudget) {
+  internal::ScopedReservationCap cap(PilArena::kCommitStepBytes);
+  MiningGuard guard(ResourceLimits{});
+  {
+    PilArena arena(&guard);
+    const std::size_t fit = PilArena::kCommitStepBytes / sizeof(PilEntry);
+    ASSERT_TRUE(arena.Reserve(fit));
+    // One row past the reservation: refused, nothing charged, guard latched.
+    EXPECT_FALSE(arena.Reserve(fit + 1));
+    EXPECT_EQ(guard.reason(), TerminationReason::kMemoryBudget);
+    EXPECT_EQ(arena.capacity_bytes(), fit * sizeof(PilEntry));
+    EXPECT_EQ(guard.memory_in_use_bytes(), arena.capacity_bytes());
+  }
+  EXPECT_EQ(guard.memory_in_use_bytes(), 0u);
 }
 
 TEST(PilArenaMechanicsTest, MoveTransfersBufferAndLedgerCharge) {
@@ -386,6 +432,30 @@ TEST(ArenaLedgerTest, BuiltLevelCarriesChargeAndReleasesOnDestruction) {
     EXPECT_GT(level.arena.capacity_bytes(), 0u);
   }
   EXPECT_EQ(guard.memory_in_use_bytes(), 0u);
+}
+
+// The exact-rows contract: the ledger charges each arena's high-water rows,
+// and the executor reserves scratch windows only at pipeline-empty
+// boundaries, so the run's peak PIL charge is a function of the input and
+// config alone — pinned exactly, and equal at every thread count.
+TEST(ArenaLedgerTest, PeakBytesPinnedAtOneAndFourThreads) {
+  Rng rng(0x9eaf);
+  std::string text;
+  for (int i = 0; i < 20000; ++i) text += "ACGT"[rng.UniformInt(4)];
+  const Sequence sequence = *Sequence::FromString(text, Alphabet::Dna());
+  for (std::int64_t threads : {std::int64_t{1}, std::int64_t{4}}) {
+    MinerConfig config;
+    config.min_gap = 1;
+    config.max_gap = 3;
+    config.min_support_ratio = 0.02;
+    config.start_length = 1;
+    config.threads = threads;
+    const StatusOr<MiningResult> result = MineMpp(sequence, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->termination, TerminationReason::kCompleted);
+    EXPECT_EQ(result->pil_memory_peak_bytes, 2536140u)
+        << "threads=" << threads;
+  }
 }
 
 // The "zero allocations in the join loop at steady state" claim, pinned:
