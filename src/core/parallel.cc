@@ -52,10 +52,11 @@ constexpr std::uint64_t kPieceRowsTarget = 2048;
 constexpr std::uint64_t kMaxPieceCands = 64;
 /// Rows per published block — the granule the driver hands the workers.
 constexpr std::uint64_t kBlockRowsTarget = 16384;
-/// The scratch window (block ring bound): the driver keeps at most this
-/// many rows reserved ahead of the watermark (more when a single block is
-/// bigger). Bounds speculative memory independently of the thread count,
-/// which also makes memory-budget trip points deterministic.
+/// The scratch window (block ring bound): the driver publishes whole
+/// blocks ahead of the watermark while they fit in this many rows plus one
+/// block's slack (more when a single piece is bigger). Bounds speculative
+/// memory independently of the thread count, which also makes
+/// memory-budget trip points deterministic.
 constexpr std::uint64_t kWindowRowsTarget = 4 * kBlockRowsTarget;
 
 /// One kernel call's worth of candidates: a slice [begin, end) of one
@@ -148,6 +149,8 @@ Status ParallelLevelExecutor::ExecuteJoin(
   // order the sink must observe.
   std::vector<Piece> pieces;
   std::vector<Block> blocks;
+  std::uint64_t level_rows = 0;  // every piece's rows
+  std::uint64_t max_piece_rows = 0;
   {
     Block block;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
@@ -166,6 +169,8 @@ Status ParallelLevelExecutor::ExecuteJoin(
         piece.end = std::min(off + per_piece, group);
         piece.left_len = left_len;
         piece.rows = left_len * (piece.end - piece.begin);
+        level_rows += piece.rows;
+        max_piece_rows = std::max(max_piece_rows, piece.rows);
         block.rows += piece.rows;
         block.cands += piece.end - piece.begin;
         pieces.push_back(piece);
@@ -184,6 +189,22 @@ Status ParallelLevelExecutor::ExecuteJoin(
   }
   const std::uint64_t total_pieces = pieces.size();
   if (total_pieces == 0) return Status::OK();
+
+  // Reservation sizes depend on the plan's multiset of pieces, never on
+  // their order. A block closes below kBlockRowsTarget + max_piece_rows
+  // rows, so any one block fits in window_rows; a window holds the blocks
+  // that fit in it, and every recycle reserves min(window_rows, rows left)
+  // — not the rows its blocks happen to use. A completed level then tops
+  // its reservation up to min(level_rows, retained + window_rows), which no
+  // recycle's watermark-plus-window exceeded (the watermark never passes
+  // the rows merged so far, nor the level's retained rows). The output
+  // arena's high-water mark, and so its ledger charge, is therefore a
+  // function of the candidate set alone; it would otherwise follow the plan
+  // order, which relabeling the alphabet permutes.
+  const std::uint64_t window_rows =
+      kBlockRowsTarget + std::max(kWindowRowsTarget, max_piece_rows);
+  const std::uint64_t level_base = out.watermark();
+  std::uint64_t rows_left = level_rows;
 
   std::vector<WorkerScratch> scratch(workers);
   // Per-candidate outputs of the current window, indexed by Piece::meta_base
@@ -296,11 +317,14 @@ Status ParallelLevelExecutor::ExecuteJoin(
         std::uint64_t rows = 0;
         std::uint64_t cands = 0;
         for (std::uint64_t b = next_block;
-             b < blocks.size() && rows < kWindowRowsTarget; ++b) {
+             b < blocks.size() &&
+             rows + blocks[static_cast<std::size_t>(b)].rows <= window_rows;
+             ++b) {
           rows += blocks[static_cast<std::size_t>(b)].rows;
           cands += blocks[static_cast<std::size_t>(b)].cands;
         }
-        if (!out.Reserve(static_cast<std::size_t>(out.size() + rows))) {
+        if (!out.Reserve(static_cast<std::size_t>(
+                out.size() + std::min(window_rows, rows_left)))) {
           // Memory trip. The guard latched with the pipeline empty, so the
           // delivered prefix — every candidate of the previous windows —
           // is exact and identical at every thread count.
@@ -322,6 +346,7 @@ Status ParallelLevelExecutor::ExecuteJoin(
         window_meta += piece.end - piece.begin;
       }
       published = block.piece_end;
+      rows_left -= block.rows;
       ++next_block;
       any = true;
     }
@@ -444,7 +469,18 @@ Status ParallelLevelExecutor::ExecuteJoin(
   // asserts).
   out.TruncateToWatermark();
   if (!sink_status.ok()) return sink_status;
-  if (guard != nullptr && guard->stopped()) *interrupted = true;
+  if (guard != nullptr && guard->stopped()) {
+    *interrupted = true;
+    return Status::OK();
+  }
+  // The level completed: top up to its order-independent bound (see
+  // window_rows). The rows are never written, only charged.
+  const std::uint64_t retained = out.watermark() - level_base;
+  // (void): a trip here latches the guard after every candidate was
+  // delivered, so the level stays complete and the caller's next guard
+  // check unwinds; an overrun likewise only latches the guard.
+  (void)out.Reserve(static_cast<std::size_t>(
+      level_base + std::min(level_rows, retained + window_rows)));
   return Status::OK();
 }
 

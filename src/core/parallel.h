@@ -63,17 +63,22 @@ using JoinSink = std::function<Status(const JoinedCandidate&)>;
 /// acquire-loads before reading the piece's rows — so the merge overlaps
 /// in-flight joins instead of waiting for a level-wide barrier.
 ///
-/// Ring bound / arena protocol: the driver reserves a scratch window of
-/// kWindowRowsTarget rows (at least one block) ahead of the watermark and
-/// publishes blocks only while they fit; when the window is exhausted and
-/// every published piece has merged, it truncates the dead scratch and
-/// recycles the window. The arena's base never moves (its reservation is
-/// fixed), so workers address every slice from one pointer taken at entry;
-/// recycling waits for an empty pipeline because truncation hands dead
-/// scratch rows back for reuse and the window metadata is resized then,
-/// not because the rows could move. Promote() compacts merged
-/// rows onto the watermark, which never overtakes an unmerged piece's slice
-/// because retained rows never exceed the scratch they came from.
+/// Ring bound / arena protocol: the driver reserves a scratch window of a
+/// fixed row count (kWindowRowsTarget plus one block, or one block plus
+/// the largest piece when that is more) ahead of the watermark and
+/// publishes whole blocks only while they fit; when the window is
+/// exhausted and every published piece has merged, it truncates the dead
+/// scratch and recycles the window. A completed level tops the reservation
+/// up to min(level rows, retained rows + window), so the arena's
+/// high-water mark depends on the candidate set, not on the plan order
+/// (which relabeling the alphabet permutes). The arena's base never moves
+/// (its reservation is fixed), so workers address every slice from one
+/// pointer taken at entry; recycling waits for an empty pipeline because
+/// truncation hands dead scratch rows back for reuse and the window
+/// metadata is resized then, not because the rows could move. Promote()
+/// compacts merged rows onto the watermark, which never overtakes an
+/// unmerged piece's slice because retained rows never exceed the scratch
+/// they came from.
 ///
 /// Ordering argument (the byte-identical `--threads` contract): the sink
 /// sees candidates exactly in plan order regardless of which worker filled

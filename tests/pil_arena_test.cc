@@ -438,23 +438,58 @@ TEST(ArenaLedgerTest, BuiltLevelCarriesChargeAndReleasesOnDestruction) {
 // and the executor reserves scratch windows only at pipeline-empty
 // boundaries, so the run's peak PIL charge is a function of the input and
 // config alone — pinned exactly, and equal at every thread count.
-TEST(ArenaLedgerTest, PeakBytesPinnedAtOneAndFourThreads) {
+std::string PinnedPeakText() {
   Rng rng(0x9eaf);
   std::string text;
   for (int i = 0; i < 20000; ++i) text += "ACGT"[rng.UniformInt(4)];
-  const Sequence sequence = *Sequence::FromString(text, Alphabet::Dna());
+  return text;
+}
+
+MinerConfig PinnedPeakConfig(std::int64_t threads) {
+  MinerConfig config;
+  config.min_gap = 1;
+  config.max_gap = 3;
+  config.min_support_ratio = 0.02;
+  config.start_length = 1;
+  config.threads = threads;
+  return config;
+}
+
+TEST(ArenaLedgerTest, PeakBytesPinnedAtOneAndFourThreads) {
+  const Sequence sequence =
+      *Sequence::FromString(PinnedPeakText(), Alphabet::Dna());
   for (std::int64_t threads : {std::int64_t{1}, std::int64_t{4}}) {
-    MinerConfig config;
-    config.min_gap = 1;
-    config.max_gap = 3;
-    config.min_support_ratio = 0.02;
-    config.start_length = 1;
-    config.threads = threads;
-    const StatusOr<MiningResult> result = MineMpp(sequence, config);
+    const StatusOr<MiningResult> result =
+        MineMpp(sequence, PinnedPeakConfig(threads));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->termination, TerminationReason::kCompleted);
-    EXPECT_EQ(result->pil_memory_peak_bytes, 2536140u)
+    EXPECT_EQ(result->pil_memory_peak_bytes, 3198864u)
         << "threads=" << threads;
+  }
+}
+
+// Relabeling the alphabet maps the candidate set onto itself — same PIL
+// lengths, same retained sets — but permutes the order the join plan visits
+// candidates in. The peak charge must not follow that order: the executor
+// sizes its windows and its end-of-level reservation from the candidate
+// set alone.
+TEST(ArenaLedgerTest, PeakBytesInvariantUnderRelabeling) {
+  const std::string text = PinnedPeakText();
+  std::uint64_t reference = 0;
+  for (const char* labels : {"ACGT", "TGCA", "CATG", "GTAC"}) {
+    std::string relabeled = text;
+    for (char& c : relabeled) c = labels[std::string("ACGT").find(c)];
+    const Sequence sequence =
+        *Sequence::FromString(relabeled, Alphabet::Dna());
+    for (std::int64_t threads : {std::int64_t{1}, std::int64_t{2}}) {
+      const StatusOr<MiningResult> result =
+          MineMpp(sequence, PinnedPeakConfig(threads));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->termination, TerminationReason::kCompleted);
+      if (reference == 0) reference = result->pil_memory_peak_bytes;
+      EXPECT_EQ(result->pil_memory_peak_bytes, reference)
+          << "labels=" << labels << " threads=" << threads;
+    }
   }
 }
 
